@@ -13,11 +13,14 @@ coefficient at the end.
 The inversion map INV is computed the same way from its recursive series
 formula; the recursion introduces explicit divisions by t_j, which are
 performed only after checking that the numerator vanishes identically at
-t_j = 0, and a total-degree bound with one unit of slack per possible
-division keeps those divisions exact as well.
+t_j = 0.  Each recursive series is kept only on the exponents its caller
+reads (a per-variable cap and a total-degree cap, derived from the one
+coefficient read at the end; see ``_inv_series``), one degree higher in
+t_j before a division by t_j, so those divisions are exact as well.
 """
 
 from fractions import Fraction
+from types import MappingProxyType
 
 from .algebra import (
     H,
@@ -222,27 +225,67 @@ _INV_GEN_CACHE = {}
 _INV_SERIES_CACHE = {}
 
 
+def _demand(shape, vars_):
+    """The exponents a caller reads from a series in vars_, as canonical
+    (caps, total_cap): the set {e <= caps, |e| <= total_cap} of ``shape``
+    with every other variable capped at 0, no cap above the total and no
+    total above the sum of the caps.  Equal sets get equal keys."""
+    total = shape.total_cap
+    caps = shape.caps
+    if caps is None:
+        caps = (total,) * shape.nvars
+    live = set(vars_)
+    caps = tuple(min(c, total) if v in live else 0
+                 for v, c in enumerate(caps))
+    return caps, min(total, sum(caps))
+
+
+def _reshape(s, caps, total_cap):
+    """s truncated like (caps, total_cap) instead of its own shape."""
+    return TruncatedSeries(s.nvars, s.sort, caps, total_cap, s.terms)
+
+
 def _inv_series(p, vars_, shape):
     """Series form of the inversion of the bracket with stored windows
     (p_0..p_1, ..., p_{m-1}..p_m), where stored slot u is paired with the
-    series variable vars_[u]."""
+    series variable vars_[u].
+
+    The result is exact on the exponents the caller reads, given by
+    ``shape`` as {e <= c, |e| <= T} (see ``_demand``; the total cap T is
+    required, the caps c are not).  Each sub-series is computed only on
+    the exponents this call reads from it:
+
+    * leading term A * B: products never lower an exponent, so A and B
+      are needed on the same set as the output;
+    * pole term j, N / t_j: division by t_j shifts exponents down by one,
+      so N is needed on c' = c + delta_{t_j} with total T + 1;
+    * A inside a pole term enters N through A * B and through
+      A(t_r - t_j) for r in vars_[:j-1].  The coefficient of the latter at
+      f uses A only at exponents e with e_r >= f_r and
+      sum(e_r - f_r) = f_{t_j}, so A is needed on caps c'_r + c'_{t_j}
+      with total T + 1.  A is restricted to N's set before forming A * B.
+
+    N's set holds every e_{t_j} = 0 exponent of its box, so the check that
+    N vanishes at t_j = 0 still runs over the whole kept range.
+    """
+    caps, total = _demand(shape, vars_)
+    nvars = shape.nvars
     m = len(p) - 1
     if m == 0:
-        return TruncatedSeries.constant(1, shape.nvars, H,
-                                        shape.caps, shape.total_cap)
-    key = (p, tuple(vars_), shape.nvars, shape.caps, shape.total_cap)
+        return TruncatedSeries.constant(1, nvars, H, caps, total)
+    key = (p, tuple(vars_), caps, total)
     hit = _INV_SERIES_CACHE.get(key)
     if hit is not None:
         return hit
 
-    zero = TruncatedSeries(shape.nvars, H, shape.caps, shape.total_cap)
-    out = zero
+    shape = TruncatedSeries(nvars, H, caps, total)
+    out = shape
     full_log = expand_log(p[0], p[-1], H)
 
     # leading sum: inverted head of length j times the regular tail
     for j in range(0, m):
         sgn = (-1) ** (m - 1 + j)
-        A = _inv_series(p[:j + 1], vars_[:j], shape)
+        A = _reshape(_inv_series(p[:j + 1], vars_[:j], shape), caps, total)
         B = _bracket_series(shape, p[j:], [[(v, 1)] for v in vars_[j:]],
                             False, H)
         out = out + A * B * Fraction(sgn)
@@ -252,16 +295,20 @@ def _inv_series(p, vars_, shape):
     for j in range(1, m + 1):
         sgn = (-1) ** (m - 1 + j)
         tj = vars_[j - 1]
-        A = _inv_series(p[:j], vars_[:j - 1], shape)
-        B = _bracket_series(shape, p[j:],
+        ncaps = caps[:tj] + (caps[tj] + 1,) + caps[tj + 1:]
+        nshape = TruncatedSeries(nvars, H, ncaps, total + 1)
+        acaps = tuple(c + ncaps[tj] for c in ncaps)
+        A = _inv_series(p[:j], vars_[:j - 1],
+                        TruncatedSeries(nvars, H, acaps, total + 1))
+        B = _bracket_series(nshape, p[j:],
                             [[(v, 1)] for v in vars_[j:]], False, H)
-        N = A * B
-        images = {v: [(v, 1)] for v in range(shape.nvars)}
+        N = _reshape(A, ncaps, total + 1) * B
+        images = {v: [(v, 1)] for v in range(nvars)}
         for r in range(j - 1):
             images[vars_[r]] = [(vars_[r], 1), (tj, -1)]
-        Ap = A.substitute(images, shape.nvars, shape.caps, shape.total_cap)
-        E = shape.exp_linear(full_log, [(tj, 1)])
-        Bp = _bracket_series(shape, p[j:],
+        Ap = A.substitute(images, nvars, ncaps, total + 1)
+        E = nshape.exp_linear(full_log, [(tj, 1)])
+        Bp = _bracket_series(nshape, p[j:],
                              [[(vars_[r], 1), (tj, -1)] for r in range(j, m)],
                              False, H)
         N = N - Ap * E * Bp
@@ -269,6 +316,14 @@ def _inv_series(p, vars_, shape):
         out = out + N * Fraction(sgn)
 
     _INV_SERIES_CACHE[key] = out
+    return out
+
+
+def _read_only(e):
+    """A copy of e whose terms cannot be changed, safe to hand out from a
+    cache: every caller receives the same object."""
+    out = Element(e.sort)
+    out.terms = MappingProxyType(dict(e.terms))
     return out
 
 
@@ -283,14 +338,14 @@ def inv_generator(g):
         return hit
     d = g.depth
     n = g.weights
-    # total-degree budget: the extraction degree plus one unit of slack for
-    # each division that may occur along a nested chain
-    shape = TruncatedSeries(d, H, total_cap=(sum(n) - d) + d)
-    S = _inv_series(g.indices, list(range(d)), shape)
-    val = S.coefficient(tuple(w - 1 for w in n))
-    if (sum(n) - d) % 2:
+    # the one coefficient read is at t^(n-1)
+    target = tuple(w - 1 for w in n)
+    shape = TruncatedSeries(d, H, caps=target, total_cap=sum(target))
+    val = _inv_series(g.indices, list(range(d)), shape).coefficient(target)
+    if sum(target) % 2:
         # the stored-form extraction pairs each t with a minus sign
         val = -val
+    val = _read_only(val)
     _INV_GEN_CACHE[key] = val
     return val
 

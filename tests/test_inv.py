@@ -1,19 +1,34 @@
 """The inversion map: goldens, the coalgebra-morphism law, and the pole
 cancellation inside its series recursion."""
 
+import hashlib
+import importlib
+import itertools
+import json
 import math
 from fractions import Fraction
 
 import pytest
 
-from lihopf.algebra import H, HBAR, Element, gen_elem, li, log
+from lihopf.algebra import (
+    H,
+    HBAR,
+    Element,
+    apply_contraction,
+    gen_elem,
+    li,
+    log,
+)
 from lihopf.coproduct import (
     _inv_monomial,
+    _inv_series,
     coproduct_bar,
     coproduct_h,
     inv_element,
     inv_generator,
 )
+from lihopf.expr import element_document, parse
+from lihopf.series import TruncatedSeries
 
 E = gen_elem
 
@@ -98,3 +113,104 @@ def test_inv_involution_depth1():
     # reconstruct the inverted bracket from its INV image and check weights
     back = e * ((-1) ** (n - 1)) - E(log(1)) ** n * Fraction(1, math.factorial(n))
     assert back == E(li((1, 2), (n,)))
+
+
+# ---------------------------------------------------------------------------
+# the truncation of the series recursion
+
+def _weights(max_depth, max_weight):
+    for d in range(1, max_depth + 1):
+        for n in itertools.product(range(1, max_weight + 1), repeat=d):
+            if sum(n) <= max_weight:
+                yield n
+
+
+@pytest.fixture
+def fresh_series_cache(monkeypatch):
+    """Give each computation its own series cache, so a reference shape
+    never reads a series computed for another shape."""
+    # the package exports a function named ``coproduct``, which hides the
+    # submodule from attribute access
+    mod = importlib.import_module("lihopf.coproduct")
+
+    def clear():
+        monkeypatch.setattr(mod, "_INV_SERIES_CACHE", {})
+    clear()
+    return clear
+
+
+def _placements():
+    for n in _weights(3, 4):
+        d = len(n)
+        for base in (1, 3):
+            yield tuple(range(base, base + d + 1)), n
+    for p in [(1, 3, 4, 7), (1, 2, 4, 8)]:
+        for n in _weights(3, 4):
+            if len(n) == 3:
+                yield p, n
+    yield (2, 5, 6, 9, 10), (1, 1, 1, 1)
+
+
+def test_demand_shape_matches_looser_shape(fresh_series_cache):
+    # the series truncated to what inv_generator reads (caps n - 1, total
+    # sum(n - 1)) agrees, on every exponent of that box, with the same
+    # recursion asked for every exponent of total degree sum(n - 1) + 1 in
+    # every variable, so no per-variable cap prunes anything it needs
+    for p, n in _placements():
+        d = len(n)
+        target = tuple(w - 1 for w in n)
+        fresh_series_cache()
+        got = _inv_series(p, list(range(d)),
+                          TruncatedSeries(d, H, caps=target,
+                                          total_cap=sum(target)))
+        fresh_series_cache()
+        ref = _inv_series(p, list(range(d)),
+                          TruncatedSeries(d, H, total_cap=sum(target) + 1))
+        assert got.coefficient(target) == ref.coefficient(target), (p, n)
+        for e in itertools.product(*(range(c + 1) for c in target)):
+            assert got.coefficient(e) == ref.coefficient(e), (p, n, e)
+
+
+def _document_sha256(e):
+    text = json.dumps(element_document(e), sort_keys=True,
+                      separators=(",", ":"))
+    return hashlib.sha256(text.encode()).hexdigest()
+
+
+@pytest.mark.parametrize("text, want", [
+    ("ILi[1,1,1,1,1](1,2,3,4,5,6)",
+     "a66a8356f4a425b3878d691e8886232a521e36ae68b4c4f19900a5f86e24e1c1"),
+    ("ILi[2,2,2,2](1,2,3,4,5)",
+     "b6638f7190bd2fc33df4c80fcb85b0dd5cf483944fcd666c40693d948127639b"),
+])
+def test_deep_inversion_documents_frozen(text, want):
+    # hashes recorded from the engine that truncated every series at total
+    # degree sum(n) in all variables
+    assert _document_sha256(inv_element(parse(text, sort=HBAR))) == want
+
+
+def test_inv_generator_commutes_with_contractions():
+    # every placement of a bracket is the standard placement (1..d+1)
+    # moved into place by the contraction map
+    count = 0
+    for n in _weights(3, 4):
+        d = len(n)
+        std = inv_generator(li(range(1, d + 2), n, inverted=True))
+        for c in itertools.combinations(range(1, 7), d + 1):
+            got = inv_generator(li(c, n, inverted=True))
+            assert got == apply_contraction(c, std), (c, n)
+            count += 1
+    assert count == 240
+
+
+def test_inv_generator_cached_value_is_read_only():
+    g = li((1, 2, 3), (1, 1), inverted=True)
+    x = inv_generator(g)
+    want = Element(H, dict(x.terms))
+    assert not want.is_zero()
+    with pytest.raises(AttributeError):
+        x.terms.clear()
+    with pytest.raises(TypeError):
+        x.terms[()] = Fraction(1)
+    assert inv_generator(g) == want
+    assert inv_generator(g) is x
