@@ -29,19 +29,13 @@ Scalars are exact rationals (fractions.Fraction) throughout.
 
 from fractions import Fraction
 
+from .lincomb import LinComb, extend
+
 H = "H"
 HBAR = "Hbar"
 
 LOG = "log"
 LI = "li"
-
-
-def _as_fraction(c):
-    if isinstance(c, Fraction):
-        return c
-    if isinstance(c, int):
-        return Fraction(c)
-    raise TypeError("scalar must be an int or Fraction, got %r" % (c,))
 
 
 class Generator:
@@ -149,29 +143,36 @@ def monomial_str(mon):
     return " ".join(parts)
 
 
-class Element:
+class Element(LinComb):
     """A finite Q-linear combination of monomials, tagged with its sort.
 
     Arithmetic requires equal sorts; a constant (scalar multiple of the
     empty monomial) is sort-agnostic and adopts the other operand's sort.
     """
 
-    __slots__ = ("sort", "terms")
+    __slots__ = ("sort",)
+
+    _shape = ("sort",)
+    _mul_key = staticmethod(mul_monomials)
 
     def __init__(self, sort, terms=None):
         if sort not in (H, HBAR):
             raise ValueError("sort must be 'H' or 'Hbar'")
         self.sort = sort
-        self.terms = {}
-        if terms:
-            for mon, c in terms.items():
-                c = _as_fraction(c)
-                if c:
-                    self.terms[mon] = c
-        if sort == H:
+        self._init_terms(terms)
+        self._check()
+
+    def _check(self):
+        if self.sort == H:
             for mon in self.terms:
-                if any(g.inverted for g in mon):
-                    raise ValueError("inverted generator in H-sort element")
+                for g in mon:
+                    if g.inverted:
+                        raise ValueError("inverted generator in H-sort element")
+
+    def _new(self, terms):
+        out = LinComb._new(self, terms)
+        out._check()
+        return out
 
     # -- constructors ------------------------------------------------------
 
@@ -181,26 +182,23 @@ class Element:
 
     @staticmethod
     def one(sort=H):
-        return Element(sort, {(): Fraction(1)})
+        return Element(sort, {(): 1})
 
     @staticmethod
     def constant(c, sort=H):
-        return Element(sort, {(): _as_fraction(c)})
+        return Element(sort, {(): c})
 
     @staticmethod
     def from_generator(g, sort=None):
         if sort is None:
             sort = HBAR if g.inverted else H
-        return Element(sort, {(g,): Fraction(1)})
+        return Element(sort, {(g,): 1})
 
     @staticmethod
     def from_monomial(mon, sort, coeff=1):
-        return Element(sort, {tuple(sorted(mon)): _as_fraction(coeff)})
+        return Element(sort, {tuple(sorted(mon)): coeff})
 
     # -- queries -----------------------------------------------------------
-
-    def is_zero(self):
-        return not self.terms
 
     def is_constant(self):
         return all(mon == () for mon in self.terms)
@@ -214,11 +212,11 @@ class Element:
         for mon, c in self.terms.items():
             w = monomial_weight(mon)
             out.setdefault(w, {})[mon] = c
-        return {w: Element(self.sort, t) for w, t in sorted(out.items())}
+        return {w: self._new(t) for w, t in sorted(out.items())}
 
     def weight_part(self, n):
-        t = {m: c for m, c in self.terms.items() if monomial_weight(m) == n}
-        return Element(self.sort, t)
+        return self._new({m: c for m, c in self.terms.items()
+                          if monomial_weight(m) == n})
 
     def max_weight(self):
         return max((monomial_weight(m) for m in self.terms), default=0)
@@ -228,11 +226,17 @@ class Element:
 
     # -- arithmetic --------------------------------------------------------
 
+    def _lift(self, c):
+        return Element.constant(c, self.sort)
+
+    def _same_shape(self, other):
+        return self.sort == other.sort or self.is_constant()
+
     def _join(self, other):
         if isinstance(other, (int, Fraction)):
-            other = Element.constant(other, self.sort)
-        if not isinstance(other, Element):
-            return None, None
+            other = self._lift(other)
+        elif not isinstance(other, Element):
+            return None
         if self.sort == other.sort:
             return self, other
         if self.is_constant():
@@ -241,44 +245,10 @@ class Element:
             return self, other.as_sort(self.sort)
         raise ValueError("sort mismatch: %s vs %s" % (self.sort, other.sort))
 
-    def __add__(self, other):
-        a, b = self._join(other)
-        if a is None:
-            return NotImplemented
-        terms = dict(a.terms)
-        for mon, c in b.terms.items():
-            terms[mon] = terms.get(mon, Fraction(0)) + c
-        return Element(a.sort, terms)
-
-    __radd__ = __add__
-
-    def __neg__(self):
-        return Element(self.sort, {m: -c for m, c in self.terms.items()})
-
-    def __sub__(self, other):
-        a, b = self._join(other)
-        if a is None:
-            return NotImplemented
-        return a + (-b)
-
-    def __rsub__(self, other):
-        return (-self) + other
-
-    def __mul__(self, other):
-        if isinstance(other, (int, Fraction)):
-            c = _as_fraction(other)
-            return Element(self.sort, {m: c * v for m, v in self.terms.items()})
-        a, b = self._join(other)
-        if a is None:
-            return NotImplemented
-        terms = {}
-        for m1, c1 in a.terms.items():
-            for m2, c2 in b.terms.items():
-                mon = mul_monomials(m1, m2)
-                terms[mon] = terms.get(mon, Fraction(0)) + c1 * c2
-        return Element(a.sort, terms)
-
-    __rmul__ = __mul__
+    # kept in the class namespace: operator tracing (perfbench/tracer.py)
+    # wraps them per class
+    __add__ = __radd__ = LinComb.__add__
+    __mul__ = __rmul__ = LinComb.__mul__
 
     def __pow__(self, k):
         if not isinstance(k, int) or k < 0:
@@ -287,19 +257,6 @@ class Element:
         for _ in range(k):
             out = out * self
         return out
-
-    def __eq__(self, other):
-        if isinstance(other, (int, Fraction)):
-            other = Element.constant(other, self.sort)
-        if not isinstance(other, Element):
-            return NotImplemented
-        if self.terms != other.terms:
-            return False
-        return self.sort == other.sort or self.is_constant()
-
-    def __ne__(self, other):
-        eq = self.__eq__(other)
-        return NotImplemented if eq is NotImplemented else not eq
 
     def __repr__(self):
         return str(self)
@@ -462,10 +419,5 @@ def apply_contraction(c, x):
 
     if isinstance(x, Generator):
         return on_generator(x)
-    out = Element.zero(x.sort)
-    for mon, coeff in x.terms.items():
-        piece = Element.constant(coeff, x.sort)
-        for g in mon:
-            piece = piece * on_generator(g).as_sort(x.sort)
-        out = out + piece
-    return out
+    return extend(x, lambda g: on_generator(g).as_sort(x.sort),
+                  Element.one(x.sort))

@@ -20,7 +20,6 @@ t_j before a division by t_j, so those divisions are exact as well.
 """
 
 from fractions import Fraction
-from types import MappingProxyType
 
 from .algebra import (
     H,
@@ -30,10 +29,10 @@ from .algebra import (
     expand_log,
     gen_elem,
     li,
-    monomial_weight,
 )
+from .lincomb import collect, extend
 from .series import TruncatedSeries
-from .tensor import Tensor, weight_one_letters
+from .tensor import Tensor
 
 # ---------------------------------------------------------------------------
 # display letters and window bookkeeping
@@ -208,14 +207,8 @@ def _coproduct_bar_generator(g):
 
 def coproduct_bar(e):
     """The coproduct of the extended algebra, on any Element."""
-    out = Tensor.zero((HBAR, HBAR))
-    unit = Tensor.of(Element.one(HBAR), Element.one(HBAR))
-    for mon, c in e.terms.items():
-        part = unit
-        for g in mon:
-            part = part * _coproduct_bar_generator(g)
-        out = out + part * c
-    return out
+    one = Element.one(HBAR)
+    return extend(e, _coproduct_bar_generator, Tensor.of(one, one))
 
 
 # ---------------------------------------------------------------------------
@@ -319,14 +312,6 @@ def _inv_series(p, vars_, shape):
     return out
 
 
-def _read_only(e):
-    """A copy of e whose terms cannot be changed, safe to hand out from a
-    cache: every caller receives the same object."""
-    out = Element(e.sort)
-    out.terms = MappingProxyType(dict(e.terms))
-    return out
-
-
 def inv_generator(g):
     """Inversion of a single generator: fixes regular ones, rewrites an
     inverted bracket as a plain-sort element."""
@@ -345,24 +330,19 @@ def inv_generator(g):
     if sum(target) % 2:
         # the stored-form extraction pairs each t with a minus sign
         val = -val
-    val = _read_only(val)
+    val = val.frozen()
     _INV_GEN_CACHE[key] = val
     return val
 
 
 def _inv_monomial(mon):
-    out = Element.one(H)
-    for g in mon:
-        out = out * inv_generator(g)
-    return out
+    return extend(Element.from_monomial(mon, HBAR), inv_generator,
+                  Element.one(H))
 
 
 def inv_element(e):
     """Inversion applied to a whole Element (multiplicatively)."""
-    out = Element.zero(H)
-    for mon, c in e.terms.items():
-        out = out + _inv_monomial(mon) * c
-    return out
+    return extend(e, inv_generator, Element.one(H))
 
 
 # ---------------------------------------------------------------------------
@@ -428,13 +408,8 @@ def _antipode_generator(g, sort):
 
 def antipode(e):
     """The antipode of the Hopf algebra named by e's sort."""
-    out = Element.zero(e.sort)
-    for mon, c in e.terms.items():
-        piece = Element.constant(c, e.sort)
-        for g in mon:
-            piece = piece * _antipode_generator(g, e.sort)
-        out = out + piece
-    return out
+    return extend(e, lambda g: _antipode_generator(g, e.sort),
+                  Element.one(e.sort))
 
 
 # ---------------------------------------------------------------------------
@@ -442,15 +417,6 @@ def antipode(e):
 #
 # Values are dicts mapping a letter (u_i or v_{i,j}) to the Element
 # multiplying its differential.
-
-def _d_accumulate(out, sym, elem):
-    cur = out.get(sym)
-    cur = elem if cur is None else cur + elem
-    if cur.is_zero():
-        out.pop(sym, None)
-    else:
-        out[sym] = cur
-
 
 def _dlog_window(a, b):
     return [(("u", r), Fraction(1)) for r in range(a, b)]
@@ -463,64 +429,46 @@ def _dli1_window(a, b):
 def _derive_generator(g):
     if g.inverted:
         raise ValueError("the derivation is defined on regular brackets only")
-    out = {}
     if g.kind == LOG:
-        _d_accumulate(out, ("u", g.indices[0]), Element.one(H))
-        return out
+        return {("u", g.indices[0]): Element.one(H)}
     p = g.indices
     n = g.weights
     d = len(n)
+    pairs = []
     # lower one weight by differentiating a letter's log
     for k in range(d):
         if n[k] >= 2:
             e = gen_elem(li(p, n[:k] + (n[k] - 1,) + n[k + 1:]), H)
-            for sym, c in _dlog_window(p[k], p[k + 1]):
-                _d_accumulate(out, sym, e * c)
+            pairs += [(sym, e * c) for sym, c in _dlog_window(p[k], p[k + 1])]
     # drop a weight-one head letter
     if n[0] == 1:
         e = gen_elem(li(p[1:], n[1:]), H) if d > 1 else Element.one(H)
-        for sym, c in _dli1_window(p[0], p[1]):
-            _d_accumulate(out, sym, e * c)
+        pairs += [(sym, e * c) for sym, c in _dli1_window(p[0], p[1])]
     # absorb a weight-one letter into its left neighbour
     for k in range(1, d):
         if n[k] == 1:
             e = gen_elem(li(p[:k] + p[k + 1:], n[:k] + n[k + 1:]), H)
-            for sym, c in _dli1_window(p[k], p[k + 1]):
-                _d_accumulate(out, sym, e * c)
+            pairs += [(sym, e * c) for sym, c in _dli1_window(p[k], p[k + 1])]
     # absorb a weight-one letter into its right neighbour (with both the
     # letter's own differentials, and an overall minus sign)
     for k in range(0, d - 1):
         if n[k] == 1:
             e = gen_elem(li(p[:k + 1] + p[k + 2:], n[:k] + n[k + 1:]), H)
-            for sym, c in (_dli1_window(p[k], p[k + 1])
-                           + _dlog_window(p[k], p[k + 1])):
-                _d_accumulate(out, sym, e * (-c))
-    return out
+            pairs += [(sym, e * (-c)) for sym, c in
+                      _dli1_window(p[k], p[k + 1]) + _dlog_window(p[k], p[k + 1])]
+    return collect(pairs)
 
 
 def derive(e):
     """The weight-lowering derivation, extended by the Leibniz rule."""
     if e.sort != H:
         raise ValueError("the derivation lives on the plain sort")
-    out = {}
-    for mon, c in e.terms.items():
-        for i, g in enumerate(mon):
-            rest = Element.from_monomial(mon[:i] + mon[i + 1:], H, c)
-            for sym, elem in _derive_generator(g).items():
-                _d_accumulate(out, sym, rest * elem)
-    return out
 
+    def pairs():
+        for mon, c in e.terms.items():
+            for i, g in enumerate(mon):
+                rest = Element.from_monomial(mon[:i] + mon[i + 1:], H, c)
+                for sym, elem in _derive_generator(g).items():
+                    yield sym, rest * elem
 
-def derive_via_coproduct(e):
-    """Dual route for the derivation: project the coproduct onto its
-    weight-(n-1, 1) part and differentiate the right factor.  Must agree
-    with ``derive`` identically."""
-    if e.sort != H:
-        raise ValueError("the derivation lives on the plain sort")
-    out = {}
-    for (ml, mr), c in coproduct(e).terms.items():
-        if monomial_weight(mr) != 1:
-            continue
-        for sym, cl in weight_one_letters(mr[0]).items():
-            _d_accumulate(out, sym, Element.from_monomial(ml, H, c * cl))
-    return out
+    return collect(pairs())

@@ -19,23 +19,24 @@ import math
 import random
 from fractions import Fraction
 
-from .algebra import LOG, Element, H, _as_fraction, li, log
+from .algebra import LOG, Element, H, li, log
+from .lincomb import LinComb, collect, extend
 from .tensor import WordSum, symbol, u_, uv_key, v_
 
 
-class Poly:
+def _poly_key(m1, m2):
+    return tuple(sorted(m1 + m2, key=uv_key))
+
+
+class Poly(LinComb):
     """Exact polynomial in the letters; monomials are sorted tuples."""
 
-    __slots__ = ("terms",)
+    __slots__ = ()
+
+    _mul_key = staticmethod(_poly_key)
 
     def __init__(self, terms=None):
-        self.terms = {}
-        if terms:
-            for mono, c in terms.items():
-                c = _as_fraction(c)
-                if c:
-                    self.terms[mono] = self.terms.get(mono, Fraction(0)) + c
-            self.terms = {m: c for m, c in self.terms.items() if c}
+        self._init_terms(terms)
 
     @staticmethod
     def zero():
@@ -53,74 +54,25 @@ class Poly:
     def variable(sym):
         return Poly({(sym,): 1})
 
-    def is_zero(self):
-        return not self.terms
-
     def constant_term(self):
         return self.terms.get((), Fraction(0))
 
-    def __add__(self, other):
-        if isinstance(other, (int, Fraction)):
-            other = Poly.constant(other)
-        terms = dict(self.terms)
-        for m, c in other.terms.items():
-            terms[m] = terms.get(m, Fraction(0)) + c
-        return Poly(terms)
-
-    __radd__ = __add__
-
-    def __neg__(self):
-        return Poly({m: -c for m, c in self.terms.items()})
-
-    def __sub__(self, other):
-        if isinstance(other, (int, Fraction)):
-            other = Poly.constant(other)
-        return self + (-other)
-
-    def __rsub__(self, other):
-        return (-self) + other
-
-    def __mul__(self, other):
-        if isinstance(other, (int, Fraction)):
-            c = _as_fraction(other)
-            return Poly({m: c * v for m, v in self.terms.items()})
-        if isinstance(other, Form):
-            return other.scale(self)
-        terms = {}
-        for m1, c1 in self.terms.items():
-            for m2, c2 in other.terms.items():
-                m = tuple(sorted(m1 + m2, key=uv_key))
-                terms[m] = terms.get(m, Fraction(0)) + c1 * c2
-        return Poly(terms)
-
-    __rmul__ = __mul__
-
-    def __eq__(self, other):
-        if isinstance(other, (int, Fraction)):
-            other = Poly.constant(other)
-        return isinstance(other, Poly) and self.terms == other.terms
+    def _lift(self, c):
+        return Poly.constant(c)
 
     def substitute(self, images):
         """Replace each letter by a Poly (letters not named stay put)."""
-        out = Poly.zero()
-        for mono, c in self.terms.items():
-            piece = Poly.constant(c)
-            for sym in mono:
-                piece = piece * images.get(sym, Poly.variable(sym))
-            out = out + piece
-        return out
+        return extend(self, lambda sym: images[sym] if sym in images
+                      else Poly.variable(sym), Poly.one())
 
     def derivative(self, sym):
-        terms = {}
-        for mono, c in self.terms.items():
-            k = mono.count(sym)
-            if not k:
-                continue
+        def drop(mono):
             rest = list(mono)
             rest.remove(sym)
-            m = tuple(rest)
-            terms[m] = terms.get(m, Fraction(0)) + c * k
-        return Poly(terms)
+            return tuple(rest)
+        return self._new(collect((drop(mono), c * mono.count(sym))
+                                 for mono, c in self.terms.items()
+                                 if sym in mono))
 
     def letters(self):
         out = set()
@@ -165,23 +117,21 @@ def _merge_basis(b1, b2):
     return sign, tuple(merged)
 
 
-class Form:
+class Form(LinComb):
     """Differential form of fixed degree with Poly coefficients."""
 
-    __slots__ = ("degree", "terms")
+    __slots__ = ("degree",)
+
+    _shape = ("degree",)
+    _scalars = (int, Fraction, Poly)
 
     def __init__(self, degree, terms=None):
         self.degree = degree
-        self.terms = {}
-        if terms:
-            for basis, p in terms.items():
-                if not isinstance(p, Poly):
-                    p = Poly.constant(p)
-                if p.is_zero():
-                    continue
-                cur = self.terms.get(basis)
-                self.terms[basis] = p if cur is None else cur + p
-            self.terms = {b: p for b, p in self.terms.items() if not p.is_zero()}
+        self._init_terms(terms)
+
+    @staticmethod
+    def _coerce(p):
+        return p if isinstance(p, Poly) else Poly.constant(p)
 
     @staticmethod
     def zero(degree):
@@ -191,69 +141,26 @@ class Form:
     def d_letter(sym):
         return Form(1, {(sym,): Poly.one()})
 
-    def is_zero(self):
-        return not self.terms
-
-    def __add__(self, other):
-        if self.degree != other.degree:
-            raise ValueError("form degree mismatch")
-        terms = dict(self.terms)
-        for b, p in other.terms.items():
-            terms[b] = terms.get(b, Poly.zero()) + p
-        return Form(self.degree, terms)
-
-    def __neg__(self):
-        return Form(self.degree, {b: -p for b, p in self.terms.items()})
-
-    def __sub__(self, other):
-        return self + (-other)
-
-    def scale(self, c):
-        if isinstance(c, (int, Fraction)):
-            c = Poly.constant(c)
-        return Form(self.degree, {b: c * p for b, p in self.terms.items()})
-
     def __mul__(self, other):
-        if isinstance(other, (int, Fraction, Poly)):
+        if isinstance(other, self._scalars):
             return self.scale(other)
         return NotImplemented
 
     __rmul__ = __mul__
 
-    def __eq__(self, other):
-        return (isinstance(other, Form) and self.degree == other.degree
-                and self.terms == other.terms)
-
     def wedge(self, other):
-        out = Form(self.degree + other.degree)
-        terms = out.terms
-        for b1, p1 in self.terms.items():
-            for b2, p2 in other.terms.items():
-                hit = _merge_basis(b1, b2)
-                if hit is None:
-                    continue
-                sign, basis = hit
-                p = p1 * p2 * sign
-                cur = terms.get(basis)
-                terms[basis] = p if cur is None else cur + p
-        out.terms = {b: p for b, p in terms.items() if not p.is_zero()}
-        return out
+        return Form(self.degree + other.degree)._new(collect(
+            (hit[1], p1 * p2 * hit[0])
+            for b1, p1 in self.terms.items()
+            for b2, p2 in other.terms.items()
+            if (hit := _merge_basis(b1, b2)) is not None))
 
     def exterior_d(self):
-        out = Form(self.degree + 1)
-        terms = out.terms
-        for basis, p in self.terms.items():
-            for sym in p.letters():
-                dp = p.derivative(sym)
-                hit = _merge_basis((sym,), basis)
-                if hit is None:
-                    continue
-                sign, nb = hit
-                piece = dp * sign
-                cur = terms.get(nb)
-                terms[nb] = piece if cur is None else cur + piece
-        out.terms = {b: q for b, q in terms.items() if not q.is_zero()}
-        return out
+        return Form(self.degree + 1)._new(collect(
+            (hit[1], p.derivative(sym) * hit[0])
+            for basis, p in self.terms.items()
+            for sym in p.letters()
+            if (hit := _merge_basis((sym,), basis)) is not None))
 
     def evaluate(self, values, tangents):
         """Evaluate on a point (letter values) and ``degree`` tangents."""
@@ -298,32 +205,33 @@ def w_tensor(ws):
     """
     if isinstance(ws, tuple):
         ws = WordSum({ws: 1})
-    out = Form(1)
-    for word, c in ws.terms.items():
-        n = len(word)
-        if n == 0:
-            continue
-        pref = Fraction((-1) ** (n + 1), math.factorial(n)) * c
-        for i in range(n):
-            rest = tuple(sorted(word[:i] + word[i + 1:], key=uv_key))
-            coeff = pref * ((-1) ** i) * math.comb(n - 1, i)
-            out = out + Form(1, {(word[i],): Poly({rest: coeff})})
-    return out
+
+    def pieces():
+        for word, c in ws.terms.items():
+            n = len(word)
+            pref = Fraction((-1) ** (n + 1), math.factorial(n)) * c
+            for i in range(n):
+                rest = tuple(sorted(word[:i] + word[i + 1:], key=uv_key))
+                coeff = pref * ((-1) ** i) * math.comb(n - 1, i)
+                yield (word[i],), Poly({rest: coeff})
+
+    return Form(1)._new(collect(pieces()))
 
 
 def eta_tensor(ws):
     """eta(f_1 (x) ... (x) f_n) = (-1)^(n+1)/(n-1)! f_2...f_n df_1."""
     if isinstance(ws, tuple):
         ws = WordSum({ws: 1})
-    out = Form(1)
-    for word, c in ws.terms.items():
-        n = len(word)
-        if n == 0:
-            continue
-        rest = tuple(sorted(word[1:], key=uv_key))
-        coeff = Fraction((-1) ** (n + 1), math.factorial(n - 1)) * c
-        out = out + Form(1, {(word[0],): Poly({rest: coeff})})
-    return out
+
+    def pieces():
+        for word, c in ws.terms.items():
+            n = len(word)
+            if n:
+                rest = tuple(sorted(word[1:], key=uv_key))
+                coeff = Fraction((-1) ** (n + 1), math.factorial(n - 1)) * c
+                yield (word[0],), Poly({rest: coeff})
+
+    return Form(1)._new(collect(pieces()))
 
 
 def w_element(e):
@@ -372,37 +280,28 @@ def pullback_form(c, f):
 # ---------------------------------------------------------------------------
 # embeddings between linear Polys and weight-at-most-one Elements
 
+def _letter_of_generator(g):
+    if g.kind == LOG:
+        return Poly.variable(u_(g.indices[0]))
+    if g.weight == 1 and not g.inverted:
+        a, b = g.indices
+        return -Poly.variable(v_(a, b - 1))
+    raise ValueError("element is not expressible in the letters: %s" % (g,))
+
+
 def element_to_poly(e):
     """[x_i]_0 -> u_i and [window]_1 -> -v; defined when every generator
     involved has weight one."""
-    out = Poly.zero()
-    for mon, c in e.terms.items():
-        piece = Poly.constant(c)
-        for g in mon:
-            if g.kind == LOG:
-                piece = piece * Poly.variable(u_(g.indices[0]))
-            elif g.weight == 1 and not g.inverted:
-                a, b = g.indices
-                piece = piece * (-Poly.variable(v_(a, b - 1)))
-            else:
-                raise ValueError("element is not expressible in the letters:"
-                                 " %s" % (g,))
-        out = out + piece
-    return out
+    return extend(e, _letter_of_generator, Poly.one())
 
 
 def poly_to_element(p, sort=H):
-    out = Element.zero(sort)
-    for mono, c in p.terms.items():
-        piece = Element.constant(c, sort)
-        for sym in mono:
-            if sym[0] == "u":
-                piece = piece * Element.from_generator(log(sym[1]), sort)
-            else:
-                piece = piece * (-Element.from_generator(
-                    li((sym[1], sym[2] + 1), (1,)), sort))
-        out = out + piece
-    return out
+    def generator_of_letter(sym):
+        if sym[0] == "u":
+            return Element.from_generator(log(sym[1]), sort)
+        return -Element.from_generator(li((sym[1], sym[2] + 1), (1,)), sort)
+
+    return extend(p, generator_of_letter, Element.one(sort))
 
 
 # ---------------------------------------------------------------------------

@@ -21,6 +21,7 @@ from typing import Optional, Union
 
 from .algebra import HBAR, Element, expand_log
 from .coproduct import _bracket_series, _normalize_block, coproduct_bar
+from .lincomb import LinComb, extend
 from .series import TruncatedSeries
 from .tensor import Tensor
 
@@ -151,19 +152,23 @@ def _sort_mon(gens) -> IMonomial:
     return tuple(sorted(gens, key=lambda g: g.key()))
 
 
-class IElement:
+def _i_key(m1, m2):
+    return _sort_mon(m1 + m2)
+
+
+def _i_tensor_key(mm1, mm2):
+    return (_sort_mon(mm1[0] + mm2[0]), _sort_mon(mm1[1] + mm2[1]))
+
+
+class IElement(LinComb):
     """Rational combination of products of symbols."""
 
-    __slots__ = ("terms",)
+    __slots__ = ()
+
+    _mul_key = staticmethod(_i_key)
 
     def __init__(self, terms=None):
-        self.terms = {}
-        if terms:
-            for mon, c in terms.items():
-                c = Fraction(c)
-                if c:
-                    self.terms[mon] = self.terms.get(mon, Fraction(0)) + c
-            self.terms = {m: c for m, c in self.terms.items() if c}
+        self._init_terms(terms)
 
     @staticmethod
     def zero() -> "IElement":
@@ -179,52 +184,21 @@ class IElement:
             return IElement.unit()  # an empty integral is 1
         return IElement({(g,): 1})
 
-    def is_zero(self) -> bool:
-        return not self.terms
-
-    def __add__(self, other: "IElement") -> "IElement":
-        terms = dict(self.terms)
-        for m, c in other.terms.items():
-            terms[m] = terms.get(m, Fraction(0)) + c
-        return IElement(terms)
-
-    def __sub__(self, other: "IElement") -> "IElement":
-        return self + other * -1
-
-    def __mul__(self, other) -> "IElement":
-        if isinstance(other, (int, Fraction)):
-            return IElement({m: c * other for m, c in self.terms.items()})
-        terms = {}
-        for m1, c1 in self.terms.items():
-            for m2, c2 in other.terms.items():
-                m = _sort_mon(m1 + m2)
-                terms[m] = terms.get(m, Fraction(0)) + c1 * c2
-        return IElement(terms)
-
-    __rmul__ = __mul__
-
-    def __eq__(self, other) -> bool:
-        return isinstance(other, IElement) and self.terms == other.terms
-
     def __repr__(self) -> str:
         if not self.terms:
             return "0"
         return " + ".join(f"{c} * {m}" for m, c in self.terms.items())
 
 
-class ITensor:
+class ITensor(LinComb):
     """Two-slot tensors of symbol monomials."""
 
-    __slots__ = ("terms",)
+    __slots__ = ()
+
+    _mul_key = staticmethod(_i_tensor_key)
 
     def __init__(self, terms=None):
-        self.terms = {}
-        if terms:
-            for mm, c in terms.items():
-                c = Fraction(c)
-                if c:
-                    self.terms[mm] = self.terms.get(mm, Fraction(0)) + c
-            self.terms = {m: c for m, c in self.terms.items() if c}
+        self._init_terms(terms)
 
     @staticmethod
     def zero() -> "ITensor":
@@ -232,33 +206,8 @@ class ITensor:
 
     @staticmethod
     def of(a: IElement, b: IElement) -> "ITensor":
-        terms = {}
-        for m1, c1 in a.terms.items():
-            for m2, c2 in b.terms.items():
-                terms[(m1, m2)] = terms.get((m1, m2), Fraction(0)) + c1 * c2
-        return ITensor(terms)
-
-    def __add__(self, other: "ITensor") -> "ITensor":
-        terms = dict(self.terms)
-        for mm, c in other.terms.items():
-            terms[mm] = terms.get(mm, Fraction(0)) + c
-        return ITensor(terms)
-
-    def __mul__(self, other) -> "ITensor":
-        if isinstance(other, (int, Fraction)):
-            return ITensor({mm: c * other for mm, c in self.terms.items()})
-        terms = {}
-        for (l1, r1), c1 in self.terms.items():
-            for (l2, r2), c2 in other.terms.items():
-                mm = (_sort_mon(l1 + l2), _sort_mon(r1 + r2))
-                terms[mm] = terms.get(mm, Fraction(0)) + c1 * c2
-        return ITensor(terms)
-
-    def __eq__(self, other) -> bool:
-        return isinstance(other, ITensor) and self.terms == other.terms
-
-    def is_zero(self) -> bool:
-        return not self.terms
+        return ITensor({(m1, m2): c1 * c2 for m1, c1 in a.terms.items()
+                        for m2, c2 in b.terms.items()})
 
     def __repr__(self) -> str:
         return f"<itensor {len(self.terms)} terms>"
@@ -289,13 +238,8 @@ def i_coproduct_gen(g: IGenerator) -> ITensor:
 
 
 def i_coproduct(e: IElement) -> ITensor:
-    out = ITensor.zero()
-    for mon, c in e.terms.items():
-        acc = ITensor.of(IElement.unit(), IElement.unit())
-        for g in mon:
-            acc = acc * i_coproduct_gen(g)
-        out = out + acc * c
-    return out
+    return extend(e, i_coproduct_gen,
+                  ITensor.of(IElement.unit(), IElement.unit()))
 
 
 # ---------------------------------------------------------------------------
@@ -360,13 +304,7 @@ def gamma_gen(g: IGenerator) -> IElement:
 
 
 def gamma(e: IElement) -> IElement:
-    out = IElement.zero()
-    for mon, c in e.terms.items():
-        acc = IElement.unit() * c
-        for g in mon:
-            acc = acc * gamma_gen(g)
-        out = out + acc
-    return out
+    return extend(e, gamma_gen, IElement.unit())
 
 
 # ---------------------------------------------------------------------------
@@ -470,19 +408,13 @@ def phi(g: IGenerator) -> Element:
     caps = tuple(runs)
     shape = TruncatedSeries(len(caps), HBAR, caps=caps)
     series = _phi_series(g.start, tuple(letters), g.end, 0, shape)
-    out = series.coefficient(caps)
+    out = series.coefficient(caps).frozen()
     _PHI_CACHE[g] = out
     return out
 
 
 def phi_element(e: IElement) -> Element:
-    out = Element.zero(HBAR)
-    for mon, c in e.terms.items():
-        acc = Element.constant(c, HBAR)
-        for g in mon:
-            acc = acc * phi(g)
-        out = out + acc
-    return out
+    return extend(e, phi, Element.one(HBAR))
 
 
 def phi_morphism_ok(g: IGenerator) -> bool:

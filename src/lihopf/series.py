@@ -12,11 +12,15 @@ zero locus (every kept term has a positive exponent there).
 
 from fractions import Fraction
 
-from .algebra import Element, _as_fraction
+from .algebra import Element
+from .lincomb import LinComb
 
 
-class TruncatedSeries:
-    __slots__ = ("nvars", "caps", "total_cap", "sort", "terms")
+class TruncatedSeries(LinComb):
+    __slots__ = ("nvars", "caps", "total_cap", "sort")
+
+    _shape = ("nvars", "caps", "total_cap", "sort")
+    _scalars = (int, Fraction, Element)
 
     def __init__(self, nvars, sort, caps=None, total_cap=None, terms=None):
         if caps is None and total_cap is None:
@@ -25,10 +29,11 @@ class TruncatedSeries:
         self.caps = tuple(caps) if caps is not None else None
         self.total_cap = total_cap
         self.sort = sort
-        self.terms = {}
-        if terms:
-            for e, c in terms.items():
-                self._accumulate(e, c)
+        self._init_terms(terms and {e: c for e, c in terms.items()
+                                    if self._keep(e)})
+
+    def _coerce(self, c):
+        return c if isinstance(c, Element) else Element.constant(c, self.sort)
 
     def _keep(self, e):
         if self.caps is not None and any(x > c for x, c in zip(e, self.caps)):
@@ -37,15 +42,15 @@ class TruncatedSeries:
             return False
         return True
 
-    def _accumulate(self, e, value):
-        if not self._keep(e):
-            return
-        cur = self.terms.get(e)
-        cur = value if cur is None else cur + value
-        if cur.is_zero():
-            self.terms.pop(e, None)
-        else:
-            self.terms[e] = cur
+    def _mul_key(self, e1, e2):
+        e = tuple(a + b for a, b in zip(e1, e2))
+        return e if self._keep(e) else None
+
+    def _conform(self, other):
+        """The right operand restricted to this series' truncation."""
+        if (other.nvars, other.sort) != (self.nvars, self.sort):
+            return LinComb._conform(self, other)
+        return self._like(other.terms)
 
     def _like(self, terms=None):
         return TruncatedSeries(self.nvars, self.sort, self.caps,
@@ -53,64 +58,30 @@ class TruncatedSeries:
 
     @staticmethod
     def constant(value, nvars, sort, caps=None, total_cap=None):
-        s = TruncatedSeries(nvars, sort, caps, total_cap)
-        if isinstance(value, (int, Fraction)):
-            value = Element.constant(value, sort)
-        if not value.is_zero():
-            s._accumulate((0,) * nvars, value)
-        return s
+        return TruncatedSeries(nvars, sort, caps, total_cap,
+                               {(0,) * nvars: value})
 
     def coefficient(self, e):
         e = tuple(e)
         return self.terms.get(e, Element.zero(self.sort))
 
-    def __add__(self, other):
-        out = self._like(self.terms)
-        for e, c in other.terms.items():
-            out._accumulate(e, c)
-        return out
-
-    def __sub__(self, other):
-        out = self._like(self.terms)
-        for e, c in other.terms.items():
-            out._accumulate(e, -c)
-        return out
-
-    def __mul__(self, other):
-        if isinstance(other, (int, Fraction, Element)):
-            if isinstance(other, (int, Fraction)):
-                other = Element.constant(other, self.sort)
-            out = self._like()
-            for e, c in self.terms.items():
-                out._accumulate(e, c * other)
-            return out
-        out = self._like()
-        for e1, c1 in self.terms.items():
-            for e2, c2 in other.terms.items():
-                e = tuple(a + b for a, b in zip(e1, e2))
-                if out._keep(e):
-                    out._accumulate(e, c1 * c2)
-        return out
-
-    __rmul__ = __mul__
+    # kept in the class namespace: operator tracing (perfbench/tracer.py)
+    # wraps them per class
+    __mul__ = __rmul__ = LinComb.__mul__
 
     def var_monomial(self, coeff, e):
         """coeff * t^e as a series shaped like self."""
-        out = self._like()
-        if isinstance(coeff, (int, Fraction)):
-            coeff = Element.constant(coeff, self.sort)
-        if not coeff.is_zero():
-            out._accumulate(tuple(e), coeff)
-        return out
+        return self._like({tuple(e): coeff})
 
     def linear_form(self, pairs):
         """sum of c * t_v for (v, c) in pairs, as a series shaped like self."""
-        out = self._like()
+        terms = {}
         for v, c in pairs:
             e = [0] * self.nvars
             e[v] = 1
-            out._accumulate(tuple(e), Element.constant(_as_fraction(c), self.sort))
-        return out
+            e = tuple(e)
+            terms[e] = terms.get(e, 0) + c
+        return self._like(terms)
 
     def exp_linear(self, value, pairs):
         """exp(value * linear_form(pairs)), truncated.  value is an Element."""
@@ -156,14 +127,7 @@ class TruncatedSeries:
                 raise ArithmeticError(
                     "division by t_%d leaves a pole: %r -> %s" % (v, e, c))
             terms[e[:v] + (e[v] - 1,) + e[v + 1:]] = c
-        out = self._like()
-        for e, c in terms.items():
-            out._accumulate(e, c)
-        return out
-
-    def __eq__(self, other):
-        return (isinstance(other, TruncatedSeries)
-                and self.nvars == other.nvars and self.terms == other.terms)
+        return self._like(terms)
 
     def __repr__(self):
         if not self.terms:

@@ -7,32 +7,34 @@ with the shuffle product, deconcatenation, the canonical projection onto
 indecomposables, and the symbol map (maximal iterated coproduct).
 """
 
+import functools
 from fractions import Fraction
 
 from .algebra import (
     H,
     LOG,
     Element,
-    _as_fraction,
     monomial_weight,
     mul_monomials,
 )
+from .lincomb import LinComb, collect, linear
 
 
-class Tensor:
+def _slotwise(m1, m2):
+    return tuple(mul_monomials(a, b) for a, b in zip(m1, m2))
+
+
+class Tensor(LinComb):
     """A Q-linear combination of pure tensors of monomials."""
 
-    __slots__ = ("sorts", "terms")
+    __slots__ = ("sorts",)
+
+    _shape = ("sorts",)
+    _mul_key = staticmethod(_slotwise)
 
     def __init__(self, sorts, terms=None):
         self.sorts = tuple(sorts)
-        self.terms = {}
-        if terms:
-            for mons, c in terms.items():
-                c = _as_fraction(c)
-                if c:
-                    self.terms[mons] = self.terms.get(mons, Fraction(0)) + c
-            self.terms = {m: c for m, c in self.terms.items() if c}
+        self._init_terms(terms)
 
     @property
     def arity(self):
@@ -45,54 +47,15 @@ class Tensor:
     @staticmethod
     def of(*elements):
         """The pure tensor e_1 (x) ... (x) e_n, expanded multilinearly."""
-        sorts = tuple(e.sort for e in elements)
         terms = {(): Fraction(1)}
         for e in elements:
-            nxt = {}
-            for mons, c in terms.items():
-                for mon, c2 in e.terms.items():
-                    key = mons + (mon,)
-                    nxt[key] = nxt.get(key, Fraction(0)) + c * c2
-            terms = nxt
-        return Tensor(sorts, terms)
+            terms = {mons + (mon,): c * c2 for mons, c in terms.items()
+                     for mon, c2 in e.terms.items()}
+        return Tensor([e.sort for e in elements], terms)
 
-    def __add__(self, other):
-        if self.sorts != other.sorts:
-            raise ValueError("tensor sort mismatch")
-        terms = dict(self.terms)
-        for mons, c in other.terms.items():
-            terms[mons] = terms.get(mons, Fraction(0)) + c
-        return Tensor(self.sorts, terms)
-
-    def __neg__(self):
-        return Tensor(self.sorts, {m: -c for m, c in self.terms.items()})
-
-    def __sub__(self, other):
-        return self + (-other)
-
-    def __mul__(self, other):
-        if isinstance(other, (int, Fraction)):
-            c = _as_fraction(other)
-            return Tensor(self.sorts, {m: c * v for m, v in self.terms.items()})
-        if not isinstance(other, Tensor):
-            return NotImplemented
-        if self.sorts != other.sorts:
-            raise ValueError("tensor sort mismatch")
-        terms = {}
-        for m1, c1 in self.terms.items():
-            for m2, c2 in other.terms.items():
-                key = tuple(mul_monomials(a, b) for a, b in zip(m1, m2))
-                terms[key] = terms.get(key, Fraction(0)) + c1 * c2
-        return Tensor(self.sorts, terms)
-
-    __rmul__ = __mul__
-
-    def __eq__(self, other):
-        return (isinstance(other, Tensor) and self.sorts == other.sorts
-                and self.terms == other.terms)
-
-    def is_zero(self):
-        return not self.terms
+    # kept in the class namespace: operator tracing (perfbench/tracer.py)
+    # wraps them per class
+    __mul__ = __rmul__ = LinComb.__mul__
 
     def weight_profiles(self):
         return sorted({tuple(monomial_weight(m) for m in mons)
@@ -101,9 +64,8 @@ class Tensor:
     def component(self, profile):
         """The piece whose slots have the given weights."""
         profile = tuple(profile)
-        terms = {mons: c for mons, c in self.terms.items()
-                 if tuple(monomial_weight(m) for m in mons) == profile}
-        return Tensor(self.sorts, terms)
+        return self._new({mons: c for mons, c in self.terms.items()
+                          if tuple(monomial_weight(m) for m in mons) == profile})
 
     def map_slot(self, k, fn, sort=None):
         """Apply a linear map (given on monomials, returning Elements) in
@@ -111,41 +73,27 @@ class Tensor:
         new_sorts = list(self.sorts)
         if sort is not None:
             new_sorts[k] = sort
-        out = Tensor(new_sorts)
-        terms = out.terms
-        for mons, c in self.terms.items():
-            img = fn(mons[k])
-            for mon, c2 in img.terms.items():
-                key = mons[:k] + (mon,) + mons[k + 1:]
-                terms[key] = terms.get(key, Fraction(0)) + c * c2
-        out.terms = {m: v for m, v in terms.items() if v}
-        return out
+        return Tensor(new_sorts)._new(collect(
+            (mons[:k] + (mon,) + mons[k + 1:], c * c2)
+            for mons, c in self.terms.items()
+            for mon, c2 in fn(mons[k]).terms.items()))
 
     def expand_slot(self, k, fn):
         """Replace slot k via a map from monomials to Tensors (splicing the
         result's slots in place of slot k)."""
-        out = None
-        for mons, c in self.terms.items():
-            img = fn(mons[k])
-            if out is None:
-                out = Tensor(self.sorts[:k] + img.sorts + self.sorts[k + 1:])
-            for mid, c2 in img.terms.items():
-                key = mons[:k] + mid + mons[k + 1:]
-                out.terms[key] = out.terms.get(key, Fraction(0)) + c * c2
-        if out is None:
+        if not self.terms:
             raise ValueError("cannot expand a slot of the zero tensor")
-        out.terms = {m: v for m, v in out.terms.items() if v}
-        return out
+        images = [(mons, c, fn(mons[k])) for mons, c in self.terms.items()]
+        sorts = self.sorts[:k] + images[0][2].sorts + self.sorts[k + 1:]
+        return Tensor(sorts)._new(collect(
+            (mons[:k] + mid + mons[k + 1:], c * c2)
+            for mons, c, img in images for mid, c2 in img.terms.items()))
 
     def contract(self, sort):
         """Multiply all slots together into a single Element."""
-        terms = {}
-        for mons, c in self.terms.items():
-            mon = ()
-            for m in mons:
-                mon = mul_monomials(mon, m)
-            terms[mon] = terms.get(mon, Fraction(0)) + c
-        return Element(sort, terms)
+        return Element(sort)._new(collect(
+            (functools.reduce(mul_monomials, mons, ()), c)
+            for mons, c in self.terms.items()))
 
     def __repr__(self):
         if not self.terms:
@@ -190,60 +138,30 @@ def weight_one_letters(g):
     raise ValueError("not a regular weight-one generator: %s" % (g,))
 
 
-class WordSum:
+class WordSum(LinComb):
     """A Q-linear combination of words in the letters; * is shuffle."""
 
-    __slots__ = ("terms",)
+    __slots__ = ()
 
     def __init__(self, terms=None):
-        self.terms = {}
-        if terms:
-            for w, c in terms.items():
-                c = _as_fraction(c)
-                if c:
-                    self.terms[w] = self.terms.get(w, Fraction(0)) + c
-            self.terms = {w: c for w, c in self.terms.items() if c}
+        self._init_terms(terms)
 
     @staticmethod
     def unit():
         return WordSum({(): 1})
 
-    def is_zero(self):
-        return not self.terms
-
-    def __add__(self, other):
-        terms = dict(self.terms)
-        for w, c in other.terms.items():
-            terms[w] = terms.get(w, Fraction(0)) + c
-        return WordSum(terms)
-
-    def __neg__(self):
-        return WordSum({w: -c for w, c in self.terms.items()})
-
-    def __sub__(self, other):
-        return self + (-other)
-
-    def __mul__(self, other):
-        if isinstance(other, (int, Fraction)):
-            c = _as_fraction(other)
-            return WordSum({w: c * v for w, v in self.terms.items()})
-        out = {}
-        for w1, c1 in self.terms.items():
-            for w2, c2 in other.terms.items():
-                for w, mult in shuffle_words(w1, w2).items():
-                    out[w] = out.get(w, Fraction(0)) + c1 * c2 * mult
-        return WordSum(out)
-
-    __rmul__ = __mul__
+    def _mul(self, other):
+        return self._new(collect(
+            (w, c1 * c2 * mult)
+            for w1, c1 in self.terms.items()
+            for w2, c2 in other.terms.items()
+            for w, mult in shuffle_words(w1, w2).items()))
 
     def append_letter(self, letter):
-        return WordSum({w + (letter,): c for w, c in self.terms.items()})
+        return self._new({w + (letter,): c for w, c in self.terms.items()})
 
     def prepend_letter(self, letter):
-        return WordSum({(letter,) + w: c for w, c in self.terms.items()})
-
-    def __eq__(self, other):
-        return isinstance(other, WordSum) and self.terms == other.terms
+        return self._new({(letter,) + w: c for w, c in self.terms.items()})
 
     def __repr__(self):
         if not self.terms:
@@ -306,34 +224,13 @@ def _pi_word(w):
 
 def project_pi(ws):
     """The canonical projection killing all nontrivial shuffle products."""
-    out = WordSum()
-    for w, c in ws.terms.items():
-        out = out + _pi_word(w) * c
-    return out
-
-
-def project_pi_closed(word):
-    """Closed form of the projection of a single word (used as an oracle
-    against the recursive definition):
-
-        pi(w) = w + sum_i (-1)^i (n-i)/n  reverse(w[:i]) shuffled w[i:]
-    """
-    n = len(word)
-    if n == 0:
-        return WordSum()
-    out = WordSum({word: 1})
-    for i in range(1, n):
-        pref = tuple(reversed(word[:i]))
-        for w, m in shuffle_words(pref, word[i:]).items():
-            out = out + WordSum({w: Fraction((-1) ** i * (n - i) * m, n)})
-    return out
+    return linear(ws, _pi_word, WordSum())
 
 
 # ---------------------------------------------------------------------------
 # the symbol map
 
 _SYMBOL_CACHE = {}
-_SYMBOL_RIGHT_CACHE = {}
 
 
 def _letters_of_monomial(mon):
@@ -354,11 +251,11 @@ def _symbol_monomial(mon):
     else:
         from .coproduct import coproduct as _coproduct
         t = _coproduct(Element.from_monomial(mon, H)).component((1, n - 1))
-        out = WordSum()
-        for (ml, mr), c in t.terms.items():
-            tail = _symbol_monomial(mr)
-            for sym, cl in _letters_of_monomial(ml).items():
-                out = out + tail.prepend_letter(sym) * (c * cl)
+        out = WordSum()._new(collect(
+            ((sym,) + w, c * cl * cw)
+            for (ml, mr), c in t.terms.items()
+            for sym, cl in _letters_of_monomial(ml).items()
+            for w, cw in _symbol_monomial(mr).terms.items()))
     _SYMBOL_CACHE[mon] = out
     return out
 
@@ -367,39 +264,4 @@ def symbol(e):
     """Maximal iterated coproduct, peeling weight-one pieces off the left."""
     if e.sort != H:
         raise ValueError("the symbol is defined on the plain sort only")
-    out = WordSum()
-    for mon, c in e.terms.items():
-        out = out + _symbol_monomial(mon) * c
-    return out
-
-
-def _symbol_monomial_right(mon):
-    hit = _SYMBOL_RIGHT_CACHE.get(mon)
-    if hit is not None:
-        return hit
-    n = monomial_weight(mon)
-    if n == 0:
-        out = WordSum.unit()
-    elif n == 1:
-        out = WordSum({(sym,): c for sym, c in _letters_of_monomial(mon).items()})
-    else:
-        from .coproduct import coproduct as _coproduct
-        t = _coproduct(Element.from_monomial(mon, H)).component((n - 1, 1))
-        out = WordSum()
-        for (ml, mr), c in t.terms.items():
-            head = _symbol_monomial_right(ml)
-            for sym, cr in _letters_of_monomial(mr).items():
-                out = out + head.append_letter(sym) * (c * cr)
-    _SYMBOL_RIGHT_CACHE[mon] = out
-    return out
-
-
-def symbol_right(e):
-    """Same map, peeling weight-one pieces off the right instead; agrees
-    with ``symbol`` by coassociativity and serves as its cross-check."""
-    if e.sort != H:
-        raise ValueError("the symbol is defined on the plain sort only")
-    out = WordSum()
-    for mon, c in e.terms.items():
-        out = out + _symbol_monomial_right(mon) * c
-    return out
+    return linear(e, _symbol_monomial, WordSum())

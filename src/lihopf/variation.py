@@ -20,11 +20,13 @@ the key set to closure by default and refuses to proceed otherwise.
 import itertools
 import math
 from fractions import Fraction
+from types import MappingProxyType
 
 from .algebra import (Element, H, HBAR, ZERO_VECTOR, gen_elem,
                       generator_to_vector, precede_key, vector_to_generator)
 from .coproduct import antipode, coproduct, derive
 from .forms import Form, Poly, element_to_poly, poly_to_element, w_element
+from .lincomb import collect
 from .tensor import Tensor
 
 
@@ -40,9 +42,9 @@ def enumerate_keys(nvec):
 
 
 def _row_of(v, sort):
-    """Map column-key -> Element for the row of one key."""
+    """Map column-key -> read-only Element for the row of one key."""
     if v == ZERO_VECTOR:
-        return {ZERO_VECTOR: Element.one(sort)}
+        return {ZERO_VECTOR: Element.one(sort).frozen()}
     g = vector_to_generator(v)
     t = coproduct(gen_elem(g, sort))
     row = {}
@@ -52,7 +54,7 @@ def _row_of(v, sort):
         w = ZERO_VECTOR if not lmon else generator_to_vector(lmon[0])
         cur = row.get(w, Element.zero(sort))
         row[w] = cur + Element.from_monomial(rmon, sort, c)
-    return {w: e for w, e in row.items() if not e.is_zero()}
+    return {w: e.frozen() for w, e in row.items() if not e.is_zero()}
 
 
 class VariationMatrix:
@@ -62,7 +64,7 @@ class VariationMatrix:
         self.nvec = tuple(nvec)
         self.sort = sort
         self.keys = tuple(keys)
-        self.index = {k: i for i, k in enumerate(keys)}
+        self.index = MappingProxyType({k: i for i, k in enumerate(keys)})
         self.rows = rows
 
     def size(self):
@@ -124,8 +126,10 @@ def build_V(nvec, sort=HBAR, closed=True):
                     raise ValueError(
                         "key set of %s is not closed under left slots:"
                         " %s produced %s" % (nvec, k, w))
-    zero = Element.zero(sort)
-    rows = [[known[v].get(w, zero) for w in keys] for v in keys]
+    # rows are tuples of read-only entries: the cached matrix is shared by
+    # every caller
+    zero = Element.zero(sort).frozen()
+    rows = tuple(tuple(known[v].get(w, zero) for w in keys) for v in keys)
     out = VariationMatrix(nvec, sort, keys, rows)
     _V_CACHE[ck] = out
     return out
@@ -238,14 +242,9 @@ def derivation_ok(V):
     for i in range(n):
         for j in range(n):
             lhs = derive(V.rows[i][j])
-            rhs = {}
-            for r in range(n):
-                for basis, p in om[i][r].terms.items():
-                    piece = V.rows[r][j] * p.constant_term()
-                    sym = basis[0]
-                    cur = rhs.get(sym, Element.zero(V.sort))
-                    rhs[sym] = cur + piece
-            rhs = {s: e for s, e in rhs.items() if not e.is_zero()}
+            rhs = collect((basis[0], V.rows[r][j] * p.constant_term())
+                          for r in range(n)
+                          for basis, p in om[i][r].terms.items())
             if lhs != rhs:
                 return False
     return True
@@ -317,14 +316,9 @@ def hat_derivation_ok(V):
     for i in range(n):
         for j in range(n):
             lhs = derive(vh[i][j])
-            rhs = {}
-            for r in range(n):
-                for basis, p in oh[i][r].terms.items():
-                    piece = poly_to_element(p, H) * vh[r][j]
-                    sym = basis[0]
-                    cur = rhs.get(sym, Element.zero(H))
-                    rhs[sym] = cur + piece
-            rhs = {s: e for s, e in rhs.items() if not e.is_zero()}
+            rhs = collect((basis[0], poly_to_element(p, H) * vh[r][j])
+                          for r in range(n)
+                          for basis, p in oh[i][r].terms.items())
             if lhs != rhs:
                 return False
     return True

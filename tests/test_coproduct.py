@@ -6,7 +6,7 @@ from fractions import Fraction
 
 import pytest
 
-from lihopf.algebra import H, HBAR, Element, gen_elem, li, log
+from lihopf.algebra import H, HBAR, Element, gen_elem, li, log, monomial_weight
 from lihopf.coproduct import (
     antipode,
     cobracket_rep,
@@ -14,13 +14,25 @@ from lihopf.coproduct import (
     coproduct_bar,
     coproduct_h,
     derive,
-    derive_via_coproduct,
     inv_element,
     reduced_coproduct,
 )
-from lihopf.tensor import Tensor
+from lihopf.lincomb import collect
+from lihopf.tensor import Tensor, weight_one_letters
 
 E = gen_elem
+
+
+def derive_via_coproduct(e):
+    """Dual route for the derivation: project the coproduct onto its
+    weight-(n-1, 1) part and differentiate the right factor.  Must agree
+    with ``derive`` identically."""
+    if e.sort != H:
+        raise ValueError("the derivation lives on the plain sort")
+    return collect((sym, Element.from_monomial(ml, H, c * cl))
+                   for (ml, mr), c in coproduct(e).terms.items()
+                   if monomial_weight(mr) == 1
+                   for sym, cl in weight_one_letters(mr[0]).items())
 
 
 def TT(sort, *pairs):

@@ -375,3 +375,17 @@ def test_morphism_spelled_out_weight_two():
                       phi_element(IElement({rm: 1}))) * c
         lhs = t if lhs is None else lhs + t
     assert (lhs - coproduct_bar(phi(g))).is_zero()
+
+
+def test_phi_cached_value_is_read_only():
+    g = canonical_symbol((1, 2, 3), (1, 1))
+    x = phi(g)
+    want = Element(HBAR, dict(x.terms))
+    assert not want.is_zero()
+    with pytest.raises(AttributeError):
+        x.terms.clear()
+    with pytest.raises(TypeError):
+        x.terms[()] = F(1)
+    assert phi(g) is x
+    assert phi(g) == want
+    assert phi_element(IElement({(g,): 1})) == want

@@ -6,16 +6,15 @@ from fractions import Fraction
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from lihopf.algebra import H, HBAR, Element, gen_elem, li, log
+from lihopf.algebra import H, HBAR, Element, gen_elem, li, log, monomial_weight
+from lihopf.coproduct import coproduct
 from lihopf.tensor import (
     Tensor,
     WordSum,
     deconcatenate,
     project_pi,
-    project_pi_closed,
     shuffle_words,
     symbol,
-    symbol_right,
     u_,
     uv_key,
     v_,
@@ -23,6 +22,61 @@ from lihopf.tensor import (
 )
 
 E = gen_elem
+
+
+# ------------------------------------------------------------------ oracles
+
+def project_pi_closed(word):
+    """Closed form of the projection of a single word, against the
+    recursive definition:
+
+        pi(w) = w + sum_i (-1)^i (n-i)/n  reverse(w[:i]) shuffled w[i:]
+    """
+    n = len(word)
+    if n == 0:
+        return WordSum()
+    out = WordSum({word: 1})
+    for i in range(1, n):
+        pref = tuple(reversed(word[:i]))
+        for w, m in shuffle_words(pref, word[i:]).items():
+            out = out + WordSum({w: Fraction((-1) ** i * (n - i) * m, n)})
+    return out
+
+
+_SYMBOL_RIGHT_CACHE = {}
+
+
+def _symbol_monomial_right(mon):
+    hit = _SYMBOL_RIGHT_CACHE.get(mon)
+    if hit is not None:
+        return hit
+    n = monomial_weight(mon)
+    if n == 0:
+        out = WordSum.unit()
+    elif n == 1:
+        out = WordSum({(sym,): c for sym, c in weight_one_letters(mon[0]).items()})
+    else:
+        t = coproduct(Element.from_monomial(mon, H)).component((n - 1, 1))
+        out = WordSum()
+        for (ml, mr), c in t.terms.items():
+            if len(mr) != 1:
+                raise ValueError("weight-one slot is not a single generator")
+            head = _symbol_monomial_right(ml)
+            for sym, cr in weight_one_letters(mr[0]).items():
+                out = out + head.append_letter(sym) * (c * cr)
+    _SYMBOL_RIGHT_CACHE[mon] = out
+    return out
+
+
+def symbol_right(e):
+    """The symbol, peeling weight-one pieces off the right instead; agrees
+    with ``symbol`` by coassociativity and serves as its cross-check."""
+    if e.sort != H:
+        raise ValueError("the symbol is defined on the plain sort only")
+    out = WordSum()
+    for mon, c in e.terms.items():
+        out = out + _symbol_monomial_right(mon) * c
+    return out
 
 
 # ------------------------------------------------------------------ tensors

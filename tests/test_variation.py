@@ -318,3 +318,19 @@ def test_numeric_flatness():
                 for f in row:
                     for a, b in itertools.combinations(range(dim), 2):
                         assert abs(f.evaluate(vals, (tb[a], tb[b]))) < 1e-9
+
+
+def test_build_V_cached_rows_are_read_only():
+    V = build_V((2, 1), H)
+    first = [Element(H, dict(e.terms)) for e in V.rows[0]]
+    assert len(first) == 6
+    with pytest.raises(AttributeError):
+        V.rows[0].clear()
+    with pytest.raises(AttributeError):
+        V.rows[0][0].terms.clear()
+    with pytest.raises(AttributeError):
+        V.index.clear()
+    again = build_V((2, 1), H)
+    assert again is V
+    assert list(again.rows[0]) == first
+    assert again.entry((2, 1), (2, 1)) == one
