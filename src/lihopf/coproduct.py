@@ -30,7 +30,7 @@ from .algebra import (
     gen_elem,
     li,
 )
-from .lincomb import collect, extend
+from .lincomb import collect, extend, memo
 from .series import TruncatedSeries
 from .tensor import Tensor
 
@@ -137,19 +137,12 @@ def _ij_choices(d):
 # ---------------------------------------------------------------------------
 # the big-algebra coproduct
 
-_BAR_CACHE = {}
-
-
+@memo
 def _coproduct_bar_generator(g):
-    hit = _BAR_CACHE.get(g._key)
-    if hit is not None:
-        return hit
     one = Element.one(HBAR)
     if g.kind == LOG:
         e = gen_elem(g, HBAR)
-        t = Tensor.of(e, one) + Tensor.of(one, e)
-        _BAR_CACHE[g._key] = t
-        return t
+        return (Tensor.of(e, one) + Tensor.of(one, e)).frozen()
 
     letters, caps = _display_letters(g)
     d = len(letters)
@@ -201,8 +194,7 @@ def _coproduct_bar_generator(g):
                 continue
             out = out + Tensor.of(ce, cf) * sign
 
-    _BAR_CACHE[g._key] = out
-    return out
+    return out.frozen()
 
 
 def coproduct_bar(e):
@@ -213,10 +205,6 @@ def coproduct_bar(e):
 
 # ---------------------------------------------------------------------------
 # inversion
-
-_INV_GEN_CACHE = {}
-_INV_SERIES_CACHE = {}
-
 
 def _demand(shape, vars_):
     """The exponents a caller reads from a series in vars_, as canonical
@@ -262,14 +250,16 @@ def _inv_series(p, vars_, shape):
     N vanishes at t_j = 0 still runs over the whole kept range.
     """
     caps, total = _demand(shape, vars_)
-    nvars = shape.nvars
+    return _inv_series_on(p, tuple(vars_), shape.nvars, caps, total)
+
+
+@memo
+def _inv_series_on(p, vars_, nvars, caps, total):
+    """``_inv_series`` on the canonical demand (caps, total), which is
+    its cache key: shapes that read the same exponents share one series."""
     m = len(p) - 1
     if m == 0:
-        return TruncatedSeries.constant(1, nvars, H, caps, total)
-    key = (p, tuple(vars_), caps, total)
-    hit = _INV_SERIES_CACHE.get(key)
-    if hit is not None:
-        return hit
+        return TruncatedSeries.constant(1, nvars, H, caps, total).frozen()
 
     shape = TruncatedSeries(nvars, H, caps, total)
     out = shape
@@ -308,19 +298,15 @@ def _inv_series(p, vars_, shape):
         N = N.divide_var(tj)   # raises if the cancellation at t_j=0 failed
         out = out + N * Fraction(sgn)
 
-    _INV_SERIES_CACHE[key] = out
-    return out
+    return out.frozen()
 
 
+@memo
 def inv_generator(g):
     """Inversion of a single generator: fixes regular ones, rewrites an
     inverted bracket as a plain-sort element."""
     if not g.inverted:
-        return gen_elem(g, H)
-    key = (g.indices, g.weights)
-    hit = _INV_GEN_CACHE.get(key)
-    if hit is not None:
-        return hit
+        return gen_elem(g, H).frozen()
     d = g.depth
     n = g.weights
     # the one coefficient read is at t^(n-1)
@@ -330,9 +316,7 @@ def inv_generator(g):
     if sum(target) % 2:
         # the stored-form extraction pairs each t with a minus sign
         val = -val
-    val = val.frozen()
-    _INV_GEN_CACHE[key] = val
-    return val
+    return val.frozen()
 
 
 def _inv_monomial(mon):
@@ -389,21 +373,14 @@ def cobracket_rep(e):
 # ---------------------------------------------------------------------------
 # antipode
 
-_ANTIPODE_CACHE = {}
-
-
+@memo
 def _antipode_generator(g, sort):
-    key = (g._key, sort)
-    hit = _ANTIPODE_CACHE.get(key)
-    if hit is not None:
-        return hit
     e = gen_elem(g, sort)
     acc = -e
     for (ml, mr), c in reduced_coproduct(e).terms.items():
         acc = acc - (antipode(Element.from_monomial(ml, sort))
                      * Element.from_monomial(mr, sort)) * c
-    _ANTIPODE_CACHE[key] = acc
-    return acc
+    return acc.frozen()
 
 
 def antipode(e):

@@ -21,7 +21,7 @@ from typing import Optional, Union
 
 from .algebra import HBAR, Element, expand_log
 from .coproduct import _bracket_series, _normalize_block, coproduct_bar
-from .lincomb import LinComb, extend
+from .lincomb import LinComb, extend, memo
 from .series import TruncatedSeries
 from .tensor import Tensor
 
@@ -387,14 +387,10 @@ def _phi_series(start, letters, end, off, shape):
     return total
 
 
-_PHI_CACHE: dict[IGenerator, Element] = {}
-
-
+@memo
 def phi(g: IGenerator) -> Element:
     """Evaluate one polylogarithmic symbol into the inverted bracket
     algebra."""
-    if g in _PHI_CACHE:
-        return _PHI_CACHE[g]
     if not is_polylogarithmic(g):
         raise ValueError(f"{g!r} is not polylogarithmic")
     runs = [0]
@@ -408,9 +404,7 @@ def phi(g: IGenerator) -> Element:
     caps = tuple(runs)
     shape = TruncatedSeries(len(caps), HBAR, caps=caps)
     series = _phi_series(g.start, tuple(letters), g.end, 0, shape)
-    out = series.coefficient(caps).frozen()
-    _PHI_CACHE[g] = out
-    return out
+    return series.coefficient(caps).frozen()
 
 
 def phi_element(e: IElement) -> Element:

@@ -29,9 +29,12 @@ coefficient through ``as_fraction`` and drop zeros.
 
 Structure maps are given on generators and extended by ``extend``
 (linear over terms, multiplicative over each monomial); maps given on
-keys are extended by ``linear``.
+keys are extended by ``linear``.  Maps whose values are fixed by their
+arguments (a map on generators, words or weight vectors) are memoized
+per process by ``memo``; ``clear_caches`` empties every such memo.
 """
 
+import functools
 from fractions import Fraction
 from types import MappingProxyType
 
@@ -189,6 +192,27 @@ class LinComb:
         if other.__class__ is not self.__class__:
             return NotImplemented
         return self.terms == other.terms and self._same_shape(other)
+
+
+# every memo of the package, in registration order, for ``clear_caches``
+# and for readers of ``cache_info()``
+MEMOS = []
+
+
+def memo(fn):
+    """fn memoized for the life of the process (``functools.cache``) and
+    registered in ``MEMOS``.  Every caller receives the same value, so fn
+    must return one they cannot change: a ``frozen()`` combination, a
+    tuple, a read-only mapping.  Exceptions are not cached."""
+    cached = functools.cache(fn)
+    MEMOS.append(cached)
+    return cached
+
+
+def clear_caches():
+    """Empty every memo, so each map computes its values afresh."""
+    for cached in MEMOS:
+        cached.cache_clear()
 
 
 def _nonzero(terms):

@@ -9,6 +9,7 @@ indecomposables, and the symbol map (maximal iterated coproduct).
 
 import functools
 from fractions import Fraction
+from types import MappingProxyType
 
 from .algebra import (
     H,
@@ -17,7 +18,7 @@ from .algebra import (
     monomial_weight,
     mul_monomials,
 )
-from .lincomb import LinComb, collect, linear
+from .lincomb import LinComb, collect, linear, memo
 
 
 def _slotwise(m1, m2):
@@ -173,19 +174,12 @@ class WordSum(LinComb):
             "%s %s" % (c, wstr(w)) for w, c in sorted(self.terms.items()))
 
 
-_SHUFFLE_CACHE = {}
-
-
+@memo
 def shuffle_words(w1, w2):
-    """All interleavings of w1 and w2 with multiplicity."""
-    if not w1:
-        return {w2: 1}
-    if not w2:
-        return {w1: 1}
-    key = (w1, w2)
-    hit = _SHUFFLE_CACHE.get(key)
-    if hit is not None:
-        return hit
+    """All interleavings of w1 and w2 with multiplicity, as a read-only
+    mapping from word to multiplicity."""
+    if not w1 or not w2:
+        return MappingProxyType({w1 + w2: 1})
     out = {}
     for w, m in shuffle_words(w1[1:], w2).items():
         k = (w1[0],) + w
@@ -193,8 +187,7 @@ def shuffle_words(w1, w2):
     for w, m in shuffle_words(w1, w2[1:]).items():
         k = (w2[0],) + w
         out[k] = out.get(k, 0) + m
-    _SHUFFLE_CACHE[key] = out
-    return out
+    return MappingProxyType(out)
 
 
 def deconcatenate(word):
@@ -205,21 +198,14 @@ def deconcatenate(word):
 # ---------------------------------------------------------------------------
 # projection onto indecomposables
 
-_PI_CACHE = {}
-
-
+@memo
 def _pi_word(w):
     n = len(w)
     if n <= 1:
-        return WordSum({w: 1})
-    hit = _PI_CACHE.get(w)
-    if hit is not None:
-        return hit
+        return WordSum({w: 1}).frozen()
     left = _pi_word(w[:-1]).append_letter(w[-1])
     right = _pi_word(w[1:]).append_letter(w[0])
-    out = (left - right) * Fraction(n - 1, n)
-    _PI_CACHE[w] = out
-    return out
+    return ((left - right) * Fraction(n - 1, n)).frozen()
 
 
 def project_pi(ws):
@@ -230,19 +216,14 @@ def project_pi(ws):
 # ---------------------------------------------------------------------------
 # the symbol map
 
-_SYMBOL_CACHE = {}
-
-
 def _letters_of_monomial(mon):
     if len(mon) != 1:
         raise ValueError("weight-one slot is not a single generator")
     return weight_one_letters(mon[0])
 
 
+@memo
 def _symbol_monomial(mon):
-    hit = _SYMBOL_CACHE.get(mon)
-    if hit is not None:
-        return hit
     n = monomial_weight(mon)
     if n == 0:
         out = WordSum.unit()
@@ -256,8 +237,7 @@ def _symbol_monomial(mon):
             for (ml, mr), c in t.terms.items()
             for sym, cl in _letters_of_monomial(ml).items()
             for w, cw in _symbol_monomial(mr).terms.items()))
-    _SYMBOL_CACHE[mon] = out
-    return out
+    return out.frozen()
 
 
 def symbol(e):

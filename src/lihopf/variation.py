@@ -26,7 +26,7 @@ from .algebra import (Element, H, HBAR, ZERO_VECTOR, gen_elem,
                       generator_to_vector, precede_key, vector_to_generator)
 from .coproduct import antipode, coproduct, derive
 from .forms import Form, Poly, element_to_poly, poly_to_element, w_element
-from .lincomb import collect
+from .lincomb import collect, memo
 from .tensor import Tensor
 
 
@@ -58,14 +58,20 @@ def _row_of(v, sort):
 
 
 class VariationMatrix:
+    """Immutable: ``build_V`` hands one matrix to every caller."""
+
     __slots__ = ("nvec", "sort", "keys", "index", "rows")
 
     def __init__(self, nvec, sort, keys, rows):
-        self.nvec = tuple(nvec)
-        self.sort = sort
-        self.keys = tuple(keys)
-        self.index = MappingProxyType({k: i for i, k in enumerate(keys)})
-        self.rows = rows
+        object.__setattr__(self, "nvec", tuple(nvec))
+        object.__setattr__(self, "sort", sort)
+        object.__setattr__(self, "keys", tuple(keys))
+        object.__setattr__(self, "index", MappingProxyType(
+            {k: i for i, k in enumerate(keys)}))
+        object.__setattr__(self, "rows", rows)
+
+    def __setattr__(self, name, value):
+        raise AttributeError("VariationMatrix is immutable")
 
     def size(self):
         return len(self.keys)
@@ -97,14 +103,15 @@ class VariationMatrix:
             self.nvec, len(self.keys), self.sort)
 
 
-_V_CACHE = {}
-
-
 def build_V(nvec, sort=HBAR, closed=True):
-    nvec = tuple(nvec)
-    ck = (nvec, sort, bool(closed))
-    if ck in _V_CACHE:
-        return _V_CACHE[ck]
+    """The variation matrix of the weight vector nvec in the given sort,
+    its key set grown to closure under left slots unless closed is false
+    (then an unclosed key set raises ValueError)."""
+    return _build_V(tuple(nvec), sort, bool(closed))
+
+
+@memo
+def _build_V(nvec, sort, closed):
     keys = enumerate_keys(nvec)
     known = {k: _row_of(k, sort) for k in keys}
     if closed:
@@ -130,9 +137,7 @@ def build_V(nvec, sort=HBAR, closed=True):
     # every caller
     zero = Element.zero(sort).frozen()
     rows = tuple(tuple(known[v].get(w, zero) for w in keys) for v in keys)
-    out = VariationMatrix(nvec, sort, keys, rows)
-    _V_CACHE[ck] = out
-    return out
+    return VariationMatrix(nvec, sort, keys, rows)
 
 
 # ---------------------------------------------------------------------------

@@ -2,7 +2,6 @@
 cancellation inside its series recursion."""
 
 import hashlib
-import importlib
 import itertools
 import json
 import math
@@ -10,6 +9,7 @@ from fractions import Fraction
 
 import pytest
 
+from lihopf import clear_caches
 from lihopf.algebra import (
     H,
     HBAR,
@@ -125,20 +125,6 @@ def _weights(max_depth, max_weight):
                 yield n
 
 
-@pytest.fixture
-def fresh_series_cache(monkeypatch):
-    """Give each computation its own series cache, so a reference shape
-    never reads a series computed for another shape."""
-    # the package exports a function named ``coproduct``, which hides the
-    # submodule from attribute access
-    mod = importlib.import_module("lihopf.coproduct")
-
-    def clear():
-        monkeypatch.setattr(mod, "_INV_SERIES_CACHE", {})
-    clear()
-    return clear
-
-
 def _placements():
     for n in _weights(3, 4):
         d = len(n)
@@ -151,19 +137,21 @@ def _placements():
     yield (2, 5, 6, 9, 10), (1, 1, 1, 1)
 
 
-def test_demand_shape_matches_looser_shape(fresh_series_cache):
+def test_demand_shape_matches_looser_shape():
     # the series truncated to what inv_generator reads (caps n - 1, total
     # sum(n - 1)) agrees, on every exponent of that box, with the same
     # recursion asked for every exponent of total degree sum(n - 1) + 1 in
-    # every variable, so no per-variable cap prunes anything it needs
+    # every variable, so no per-variable cap prunes anything it needs;
+    # caches are emptied before each computation, so a reference shape
+    # never reads a series computed for another shape
     for p, n in _placements():
         d = len(n)
         target = tuple(w - 1 for w in n)
-        fresh_series_cache()
+        clear_caches()
         got = _inv_series(p, list(range(d)),
                           TruncatedSeries(d, H, caps=target,
                                           total_cap=sum(target)))
-        fresh_series_cache()
+        clear_caches()
         ref = _inv_series(p, list(range(d)),
                           TruncatedSeries(d, H, total_cap=sum(target) + 1))
         assert got.coefficient(target) == ref.coefficient(target), (p, n)

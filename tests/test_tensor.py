@@ -145,6 +145,15 @@ def test_shuffle_small():
     assert got == {(c, a, b): 1, (a, c, b): 1, (a, b, c): 1}
 
 
+def test_shuffle_words_cached_value_is_read_only():
+    a, b, c = u_(1), u_(2), v_(1, 1)
+    with pytest.raises(AttributeError):
+        shuffle_words((a, b), (c,)).clear()
+    with pytest.raises(TypeError):
+        shuffle_words((a, b), (c,))[(a,)] = 1
+    assert len((WordSum({(a, b): 1}) * WordSum({(c,): 1})).terms) == 3
+
+
 def test_shuffle_is_commutative_and_associative():
     ws = [WordSum({(u_(1), v_(1, 1)): 1}), WordSum({(u_(2),): 1}),
           WordSum({(v_(1, 2), u_(1)): 1})]

@@ -9,8 +9,9 @@ from lihopf.coproduct import reduced_coproduct
 from lihopf.forms import (Form, Poly, point_residual, poly_to_element,
                           sample_point, tangent_basis, w_element)
 from lihopf.tensor import u_, v_
-from lihopf.variation import (antipode_ok, build_V, chain_map_ok,
-                              comultiplicative_ok, corollary_form_ok,
+from lihopf.variation import (VariationMatrix, antipode_ok, build_V,
+                              chain_map_ok, comultiplicative_ok,
+                              corollary_form_ok,
                               curvature_identity_ok, derivation_ok,
                               enumerate_keys, hat_derivation_ok, omega_hat,
                               omega_form_matrix, omega_matrix, recurrence_ok,
@@ -334,3 +335,13 @@ def test_build_V_cached_rows_are_read_only():
     assert again is V
     assert list(again.rows[0]) == first
     assert again.entry((2, 1), (2, 1)) == one
+
+
+def test_build_V_cached_matrix_cannot_be_rebound():
+    V = build_V((2, 1), H)
+    keys = V.keys
+    assert len(keys) == 6
+    for name in VariationMatrix.__slots__:
+        with pytest.raises(AttributeError):
+            setattr(V, name, ())
+    assert build_V((2, 1), H).keys == keys
