@@ -24,7 +24,9 @@ normalizes to -[w]_0, and a window log [x_{i->j}]_0 is eagerly expanded
 into sum(  [x_r]_0 for i <= r < j ), so that window additivity holds by
 construction.
 
-Scalars are exact rationals (fractions.Fraction) throughout.
+Scalars are exact rationals.  A coefficient is stored as an int when it
+is integral and as a fractions.Fraction otherwise (see ``lincomb``); an
+integral Fraction produced by arithmetic equals and hashes like the int.
 """
 
 from fractions import Fraction
@@ -39,19 +41,36 @@ LI = "li"
 
 
 class Generator:
-    """A single bracket generator.  Immutable and totally ordered."""
+    """A single bracket generator.  Immutable and totally ordered.
+
+    Generators are interned: constructing one returns the single instance
+    for its normalised data, so equality is identity and hashing is the
+    default identity hash, both computed in C.  The order compares the
+    data (``_key``), so every sort order is that of the data.  The table
+    of instances lives as long as the process: ``clear_caches`` does not
+    empty it, because a generator held across it must stay equal to one
+    made afterwards.
+    """
 
     __slots__ = ("kind", "indices", "weights", "inverted", "_key")
 
-    def __init__(self, kind, indices, weights=(), inverted=False):
-        indices = tuple(int(i) for i in indices)
-        weights = tuple(int(n) for n in weights)
+    _interned = {}
+
+    def __new__(cls, kind, indices, weights=(), inverted=False):
+        if kind not in (LOG, LI):
+            raise ValueError("unknown generator kind %r" % (kind,))
+        indices = tuple(map(int, indices))
+        weights = tuple(map(int, weights))
+        key = (kind, indices, weights, bool(inverted))
+        self = cls._interned.get(key)
+        if self is not None:
+            return self
         if kind == LOG:
             if len(indices) != 1 or weights or inverted:
                 raise ValueError("log generator takes a single index")
             if indices[0] < 1:
                 raise ValueError("variable index must be >= 1")
-        elif kind == LI:
+        else:
             if len(indices) < 2 or len(weights) != len(indices) - 1:
                 raise ValueError("bracket needs d+1 indices and d weights")
             if any(a >= b for a, b in zip(indices, indices[1:])):
@@ -60,13 +79,14 @@ class Generator:
                 raise ValueError("indices must be positive")
             if any(n < 1 for n in weights):
                 raise ValueError("weights must be >= 1")
-        else:
-            raise ValueError("unknown generator kind %r" % (kind,))
+        self = object.__new__(cls)
         object.__setattr__(self, "kind", kind)
         object.__setattr__(self, "indices", indices)
         object.__setattr__(self, "weights", weights)
-        object.__setattr__(self, "inverted", bool(inverted))
-        object.__setattr__(self, "_key", (kind, indices, weights, bool(inverted)))
+        object.__setattr__(self, "inverted", key[3])
+        object.__setattr__(self, "_key", key)
+        cls._interned[key] = self
+        return self
 
     def __setattr__(self, name, value):
         raise AttributeError("Generator is immutable")
@@ -85,17 +105,11 @@ class Generator:
             return ((self.indices[0], self.indices[0] + 1),)
         return tuple(zip(self.indices, self.indices[1:]))
 
-    def __eq__(self, other):
-        return isinstance(other, Generator) and self._key == other._key
-
     def __lt__(self, other):
         return self._key < other._key
 
     def __le__(self, other):
         return self._key <= other._key
-
-    def __hash__(self):
-        return hash(self._key)
 
     def __repr__(self):
         return str(self)
@@ -168,10 +182,14 @@ class Element(LinComb):
                 for g in mon:
                     if g.inverted:
                         raise ValueError("inverted generator in H-sort element")
+        return self
 
     def _new(self, terms):
-        out = LinComb._new(self, terms)
-        out._check()
+        # unchecked: H is closed under the sums, products, scalings and
+        # negations that build results of the operands' sort
+        out = object.__new__(Element)
+        out.sort = self.sort
+        out.terms = terms
         return out
 
     # -- constructors ------------------------------------------------------
@@ -204,7 +222,7 @@ class Element(LinComb):
         return all(mon == () for mon in self.terms)
 
     def constant_term(self):
-        return self.terms.get((), Fraction(0))
+        return self.terms.get((), 0)
 
     def weight_parts(self):
         """Split into homogeneous pieces: dict weight -> Element."""
@@ -212,11 +230,11 @@ class Element(LinComb):
         for mon, c in self.terms.items():
             w = monomial_weight(mon)
             out.setdefault(w, {})[mon] = c
-        return {w: self._new(t) for w, t in sorted(out.items())}
+        return {w: self._new(t)._check() for w, t in sorted(out.items())}
 
     def weight_part(self, n):
         return self._new({m: c for m, c in self.terms.items()
-                          if monomial_weight(m) == n})
+                          if monomial_weight(m) == n})._check()
 
     def max_weight(self):
         return max((monomial_weight(m) for m in self.terms), default=0)
@@ -233,10 +251,11 @@ class Element(LinComb):
         return self.sort == other.sort or self.is_constant()
 
     def _join(self, other):
-        if isinstance(other, (int, Fraction)):
-            other = self._lift(other)
-        elif not isinstance(other, Element):
-            return None
+        if other.__class__ is not Element:
+            if isinstance(other, (int, Fraction)):
+                other = self._lift(other)
+            elif not isinstance(other, Element):
+                return None
         if self.sort == other.sort:
             return self, other
         if self.is_constant():
@@ -297,7 +316,7 @@ def expand_log(i, j, sort=H, inverse=False):
         raise ValueError("need 1 <= i <= j")
     terms = {}
     for r in range(i, j):
-        terms[(log(r),)] = Fraction(-1 if inverse else 1)
+        terms[(log(r),)] = -1 if inverse else 1
     return Element(sort, terms)
 
 

@@ -19,8 +19,6 @@ coefficient read at the end; see ``_inv_series``), one degree higher in
 t_j before a division by t_j, so those divisions are exact as well.
 """
 
-from fractions import Fraction
-
 from .algebra import (
     H,
     HBAR,
@@ -271,7 +269,7 @@ def _inv_series_on(p, vars_, nvars, caps, total):
         A = _reshape(_inv_series(p[:j + 1], vars_[:j], shape), caps, total)
         B = _bracket_series(shape, p[j:], [[(v, 1)] for v in vars_[j:]],
                             False, H)
-        out = out + A * B * Fraction(sgn)
+        out = out + A * B * sgn
 
     # pole pairs: the two sums over j with 1/t_j prefactors cancel exactly
     # at t_j = 0, so each pair is combined first and divided afterwards
@@ -296,7 +294,7 @@ def _inv_series_on(p, vars_, nvars, caps, total):
                              False, H)
         N = N - Ap * E * Bp
         N = N.divide_var(tj)   # raises if the cancellation at t_j=0 failed
-        out = out + N * Fraction(sgn)
+        out = out + N * sgn
 
     return out.frozen()
 
@@ -396,11 +394,11 @@ def antipode(e):
 # multiplying its differential.
 
 def _dlog_window(a, b):
-    return [(("u", r), Fraction(1)) for r in range(a, b)]
+    return [(("u", r), 1) for r in range(a, b)]
 
 
 def _dli1_window(a, b):
-    return [(("v", a, b - 1), Fraction(-1))]
+    return [(("v", a, b - 1), -1)]
 
 
 def _derive_generator(g):

@@ -55,7 +55,7 @@ class Poly(LinComb):
         return Poly({(sym,): 1})
 
     def constant_term(self):
-        return self.terms.get((), Fraction(0))
+        return self.terms.get((), 0)
 
     def _lift(self, c):
         return Poly.constant(c)
@@ -123,7 +123,7 @@ class Form(LinComb):
     __slots__ = ("degree",)
 
     _shape = ("degree",)
-    _scalars = (int, Fraction, Poly)
+    _scalars = (Poly, int, Fraction)
 
     def __init__(self, degree, terms=None):
         self.degree = degree

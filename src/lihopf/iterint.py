@@ -16,7 +16,6 @@ from __future__ import annotations
 
 import itertools
 from dataclasses import dataclass
-from fractions import Fraction
 from typing import Optional, Union
 
 from .algebra import HBAR, Element, expand_log
@@ -353,7 +352,7 @@ def _phi_series(start, letters, end, off, shape):
         rev = _phi_series(ZERO, letters[::-1], start, 0, inner)
         images = {r: [(off + d - r, -1)] for r in range(d + 1)}
         out = rev.substitute(images, shape.nvars, shape.caps, shape.total_cap)
-        return out * Fraction((-1) ** d)
+        return out * (-1) ** d
     if isinstance(start, Zero):
         out = TruncatedSeries.constant(1, shape.nvars, shape.sort,
                                        shape.caps, shape.total_cap)
@@ -374,7 +373,7 @@ def _phi_series(start, letters, end, off, shape):
                 return zero_series
             indices, targs, inverted = norm
             out = _bracket_series(shape, indices, targs, inverted, shape.sort)
-            out = out * Fraction((-1) ** d)
+            out = out * (-1) ** d
         lg = _log_of(end)
         if not lg.is_zero():
             out = out * shape.exp_linear(lg, [(off, 1)])

@@ -4,9 +4,12 @@ Every object of the package is a finite combination  sum_k c_k * k  of
 hashable keys k (monomials, tuples of monomials, words, exponent tuples,
 basis covectors) with nonzero coefficients c_k.  The coefficients are
 exact rationals, or for series and forms elements of another such
-algebra.  ``LinComb`` holds the combination in a dict ``terms`` and
-implements addition, negation, subtraction, scaling, the product through
-a per-class product of keys, equality and zero pruning once, for all of
+algebra.  A rational is stored in its canonical form, an ``int`` when
+it is integral and a ``Fraction`` otherwise; arithmetic may still
+produce an integral ``Fraction``, which equals and hashes like the int.
+``LinComb`` holds the combination in a dict ``terms`` and implements
+addition, negation, subtraction, scaling, the product through a
+per-class product of keys, equality and zero pruning once, for all of
 them.
 
 A subclass declares:
@@ -15,7 +18,9 @@ A subclass declares:
   a degree, a truncation); results copy them from the left operand;
 * ``_mul_key(k1, k2)``: the key of a product of two keys, or None when
   the product vanishes (it is dropped);
-* ``_scalars``: the types ``*`` treats as scalars rather than operands;
+* ``_scalars``: the types ``*`` treats as scalars rather than operands,
+  ``Fraction`` last: an ``isinstance`` test against it runs the
+  ``numbers`` ABC machinery for every operand that is not one;
 * ``_lift(c)``: a scalar as a combination shaped like self, for algebras
   with a unit (the default has none);
 * ``_coerce(c)``: the coefficient a public constructor stores for c
@@ -25,7 +30,12 @@ A subclass declares:
 
 Results of arithmetic are built once from dicts that hold only nonzero,
 already coerced coefficients; public constructors coerce every
-coefficient through ``as_fraction`` and drop zeros.
+coefficient through ``as_fraction`` and drop zeros.  A class whose shape
+restricts its keys (the sort H of ``Element`` admits no inverted
+generator) validates them in ``_check``.  Sums, products, scalings and
+negations of operands of one shape stay in that shape and skip it;
+public constructors and results whose shape the caller names (the target
+of ``linear`` and ``extend``) run it.
 
 Structure maps are given on generators and extended by ``extend``
 (linear over terms, multiplicative over each monomial); maps given on
@@ -40,11 +50,14 @@ from types import MappingProxyType
 
 
 def as_fraction(c):
-    """The one coercion of scalars: an int or Fraction, as a Fraction."""
-    if isinstance(c, Fraction):
+    """The one coercion of scalars: an int or Fraction, as its canonical
+    rational, an int when integral and a Fraction otherwise."""
+    if c.__class__ is int:
         return c
     if isinstance(c, int):
-        return Fraction(c)
+        return int(c)
+    if isinstance(c, Fraction):
+        return c.numerator if c.denominator == 1 else c
     raise TypeError("scalar must be an int or Fraction, got %r" % (c,))
 
 
@@ -79,6 +92,11 @@ class LinComb:
     def _lift(self, c):
         return None
 
+    def _check(self):
+        """self, once its keys are valid for its shape (by default every
+        key is); raises ValueError otherwise."""
+        return self
+
     def _same_shape(self, other):
         return all(getattr(self, n) == getattr(other, n) for n in self._shape)
 
@@ -92,10 +110,11 @@ class LinComb:
     def _join(self, other):
         """The two operands of a binary operation with one shape, or None
         when other is not a combination of this kind."""
-        if isinstance(other, (int, Fraction)):
-            other = self._lift(other)
         if other.__class__ is not self.__class__:
-            return None
+            if isinstance(other, (int, Fraction)):
+                other = self._lift(other)
+            if other.__class__ is not self.__class__:
+                return None
         if not self._same_shape(other):
             other = self._conform(other)
         return self, other
@@ -177,7 +196,8 @@ class LinComb:
         return self._new({k: -c for k, c in self.terms.items()})
 
     def __mul__(self, other):
-        if isinstance(other, self._scalars):
+        if other.__class__ is not self.__class__ and isinstance(
+                other, self._scalars):
             return self.scale(other)
         pair = self._join(other)
         if pair is None:
@@ -187,10 +207,11 @@ class LinComb:
     __rmul__ = __mul__
 
     def __eq__(self, other):
-        if isinstance(other, (int, Fraction)):
-            other = self._lift(other)
         if other.__class__ is not self.__class__:
-            return NotImplemented
+            if isinstance(other, (int, Fraction)):
+                other = self._lift(other)
+            if other.__class__ is not self.__class__:
+                return NotImplemented
         return self.terms == other.terms and self._same_shape(other)
 
 
@@ -232,9 +253,10 @@ def collect(pairs):
 
 def linear(x, image, zero):
     """The linear map sending each key k of x to image(k); ``zero`` is
-    the zero of the target, whose shape the result takes."""
+    the zero of the target, whose shape the result takes and is checked
+    against."""
     return zero._new(collect((k, v * c) for key, c in x.terms.items()
-                             for k, v in image(key).terms.items()))
+                             for k, v in image(key).terms.items()))._check()
 
 
 def extend(x, image, unit):

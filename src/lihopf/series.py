@@ -20,7 +20,7 @@ class TruncatedSeries(LinComb):
     __slots__ = ("nvars", "caps", "total_cap", "sort")
 
     _shape = ("nvars", "caps", "total_cap", "sort")
-    _scalars = (int, Fraction, Element)
+    _scalars = (Element, int, Fraction)
 
     def __init__(self, nvars, sort, caps=None, total_cap=None, terms=None):
         if caps is None and total_cap is None:

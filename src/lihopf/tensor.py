@@ -48,7 +48,7 @@ class Tensor(LinComb):
     @staticmethod
     def of(*elements):
         """The pure tensor e_1 (x) ... (x) e_n, expanded multilinearly."""
-        terms = {(): Fraction(1)}
+        terms = {(): 1}
         for e in elements:
             terms = {mons + (mon,): c * c2 for mons, c in terms.items()
                      for mon, c2 in e.terms.items()}
@@ -94,7 +94,7 @@ class Tensor(LinComb):
         """Multiply all slots together into a single Element."""
         return Element(sort)._new(collect(
             (functools.reduce(mul_monomials, mons, ()), c)
-            for mons, c in self.terms.items()))
+            for mons, c in self.terms.items()))._check()
 
     def __repr__(self):
         if not self.terms:
@@ -132,10 +132,10 @@ def weight_one_letters(g):
     [x_i]_0 = u_i and [x_{i -> j+1}]_1 = -v_{i,j}.
     """
     if g.kind == LOG:
-        return {u_(g.indices[0]): Fraction(1)}
+        return {u_(g.indices[0]): 1}
     if g.weight == 1 and not g.inverted:
         a, b = g.indices
-        return {v_(a, b - 1): Fraction(-1)}
+        return {v_(a, b - 1): -1}
     raise ValueError("not a regular weight-one generator: %s" % (g,))
 
 

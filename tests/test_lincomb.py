@@ -1,15 +1,17 @@
 """The shared sparse-combination core: the group laws of addition, zero
 pruning and shape-aware equality, checked on all eight algebras."""
 
+import json
 from fractions import Fraction
 
 import pytest
 from hypothesis import given, settings, strategies as st
 
 from lihopf.algebra import H, HBAR, Element, li, log
+from lihopf.expr import element_document
 from lihopf.forms import Form, Poly
 from lihopf.iterint import ONE, ZERO, IElement, IGenerator, InvProduct, ITensor
-from lihopf.lincomb import as_fraction
+from lihopf.lincomb import LinComb, as_fraction
 from lihopf.series import TruncatedSeries
 from lihopf.tensor import Tensor, WordSum, u_, uv_key, v_
 
@@ -92,6 +94,36 @@ def test_no_stored_coefficient_is_zero(name):
     check()
 
 
+def _raw_fractions(x):
+    """x with every rational coefficient stored as a Fraction, integral
+    ones included, as arithmetic can leave them."""
+    return x._new({k: _raw_fractions(c) if isinstance(c, LinComb)
+                   else Fraction(c) for k, c in x.terms.items()})
+
+
+@pytest.mark.parametrize("name", sorted(ALGEBRAS))
+def test_int_and_fraction_coefficients_give_equal_results(name):
+    combos = ALGEBRAS[name]
+
+    @settings(max_examples=40, deadline=None)
+    @given(combos, combos, st.integers(-3, 3))
+    def check(a, b, n):
+        fa, fb = _raw_fractions(a), _raw_fractions(b)
+        pairs = [(a + b, fa + fb), (a - b, fa - fb), (-a, -fa),
+                 (a.scale(n), fa.scale(Fraction(n))),
+                 (a * n, fa * Fraction(n)), (a + a, fa + a)]
+        if not isinstance(a, Form):
+            pairs.append((a * b, fa * fb))
+        for x, y in pairs:
+            assert x == y and y == x
+            if isinstance(x, Element):
+                assert (json.dumps(element_document(x))
+                        == json.dumps(element_document(y)))
+                assert str(x) == str(y)
+
+    check()
+
+
 def test_equality_depends_on_shape():
     e = Element.from_generator(log(1), H)
     t = Tensor.of(e, e)
@@ -128,8 +160,13 @@ def test_series_sum_keeps_the_left_truncation():
 
 
 def test_as_fraction_is_the_only_scalar_coercion():
-    assert as_fraction(2) == Fraction(2)
-    assert isinstance(as_fraction(2), Fraction)
+    # the canonical rational: an int when integral, else a Fraction
+    for integral, want in ((2, 2), (Fraction(4, 2), 2), (True, 1)):
+        got = as_fraction(integral)
+        assert got == want and type(got) is int
+    assert type(as_fraction(Fraction(1, 3))) is Fraction
+    assert as_fraction(Fraction(-2, 6)) == Fraction(-1, 3)
+    assert type(Element(H, {(): Fraction(6, 3)}).constant_term()) is int
     for bad in (0.5, "1/3", None):
         with pytest.raises(TypeError):
             as_fraction(bad)
