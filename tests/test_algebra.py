@@ -1,6 +1,6 @@
 import random
 from fractions import Fraction
-from itertools import combinations, product
+from itertools import accumulate, combinations, product
 
 import pytest
 from hypothesis import given, settings, strategies as st
@@ -101,26 +101,18 @@ def test_invalid_generator_leaves_no_intern_entry():
     assert Generator._interned == before
 
 
-GENERATOR_DATA = st.one_of(
-    st.integers(1, 6).map(log),
-    st.lists(st.integers(1, 3), min_size=1, max_size=3).flatmap(
-        lambda ws: st.tuples(
-            st.lists(st.integers(1, 3), min_size=len(ws) + 1,
-                     max_size=len(ws) + 1),
-            st.just(tuple(ws)), st.booleans())).map(
-        lambda t: li(tuple(_increasing(t[0])), t[1], t[2])))
-
-
-def _increasing(gaps):
-    out, at = [], 0
-    for g in gaps:
-        at += g
-        out.append(at)
-    return out
+@st.composite
+def generators(draw):
+    if draw(st.booleans()):
+        return log(draw(st.integers(1, 6)))
+    weights = draw(st.lists(st.integers(1, 3), min_size=1, max_size=3))
+    gaps = draw(st.lists(st.integers(1, 3), min_size=len(weights) + 1,
+                         max_size=len(weights) + 1))
+    return li(tuple(accumulate(gaps)), weights, draw(st.booleans()))
 
 
 @settings(max_examples=60, deadline=None)
-@given(st.lists(GENERATOR_DATA, max_size=8))
+@given(st.lists(generators(), max_size=8))
 def test_generator_order_is_the_order_of_its_data(gens):
     assert sorted(gens) == sorted(gens, key=lambda g: g._key)
     assert [g._key for g in sorted(gens)] == sorted(g._key for g in gens)
@@ -191,7 +183,6 @@ def test_h_is_closed_under_same_sort_arithmetic(a, b, c):
               a ** 2):
         assert x.sort == H
         assert not any(g.inverted for mon in x.terms for g in mon)
-        assert Element(H, x.terms) == x
 
 
 def test_element_weight_split():
