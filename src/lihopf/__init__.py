@@ -26,7 +26,6 @@ from .coproduct import (
     coproduct,
     coproduct_bar,
     coproduct_h,
-    derive,
     inv_element,
     inv_generator,
     reduced_coproduct,
@@ -47,7 +46,7 @@ from .iterint import (
     phi_element,
 )
 from .lincomb import clear_caches
-from .tensor import Tensor, WordSum, project_pi, symbol, u_, v_
+from .tensor import Tensor, WordSum, derive, project_pi, symbol, u_, v_
 from .variation import VariationMatrix, build_V
 from .verify import Report, run_all, run_suite, suite_names
 

@@ -28,9 +28,11 @@ from .algebra import (
     gen_elem,
     li,
 )
-from .lincomb import collect, extend, memo
+from .lincomb import extend, memo
 from .series import TruncatedSeries
-from .tensor import Tensor
+# ``derive`` lives in tensor, next to the letters it is written in; it is
+# re-exported here because perfbench's tracer wraps lihopf.coproduct.derive
+from .tensor import Tensor, derive
 
 # ---------------------------------------------------------------------------
 # display letters and window bookkeeping
@@ -385,65 +387,3 @@ def antipode(e):
     """The antipode of the Hopf algebra named by e's sort."""
     return extend(e, lambda g: _antipode_generator(g, e.sort),
                   Element.one(e.sort))
-
-
-# ---------------------------------------------------------------------------
-# the weight-lowering derivation
-#
-# Values are dicts mapping a letter (u_i or v_{i,j}) to the Element
-# multiplying its differential.
-
-def _dlog_window(a, b):
-    return [(("u", r), 1) for r in range(a, b)]
-
-
-def _dli1_window(a, b):
-    return [(("v", a, b - 1), -1)]
-
-
-def _derive_generator(g):
-    if g.inverted:
-        raise ValueError("the derivation is defined on regular brackets only")
-    if g.kind == LOG:
-        return {("u", g.indices[0]): Element.one(H)}
-    p = g.indices
-    n = g.weights
-    d = len(n)
-    pairs = []
-    # lower one weight by differentiating a letter's log
-    for k in range(d):
-        if n[k] >= 2:
-            e = gen_elem(li(p, n[:k] + (n[k] - 1,) + n[k + 1:]), H)
-            pairs += [(sym, e * c) for sym, c in _dlog_window(p[k], p[k + 1])]
-    # drop a weight-one head letter
-    if n[0] == 1:
-        e = gen_elem(li(p[1:], n[1:]), H) if d > 1 else Element.one(H)
-        pairs += [(sym, e * c) for sym, c in _dli1_window(p[0], p[1])]
-    # absorb a weight-one letter into its left neighbour
-    for k in range(1, d):
-        if n[k] == 1:
-            e = gen_elem(li(p[:k] + p[k + 1:], n[:k] + n[k + 1:]), H)
-            pairs += [(sym, e * c) for sym, c in _dli1_window(p[k], p[k + 1])]
-    # absorb a weight-one letter into its right neighbour (with both the
-    # letter's own differentials, and an overall minus sign)
-    for k in range(0, d - 1):
-        if n[k] == 1:
-            e = gen_elem(li(p[:k + 1] + p[k + 2:], n[:k] + n[k + 1:]), H)
-            pairs += [(sym, e * (-c)) for sym, c in
-                      _dli1_window(p[k], p[k + 1]) + _dlog_window(p[k], p[k + 1])]
-    return collect(pairs)
-
-
-def derive(e):
-    """The weight-lowering derivation, extended by the Leibniz rule."""
-    if e.sort != H:
-        raise ValueError("the derivation lives on the plain sort")
-
-    def pairs():
-        for mon, c in e.terms.items():
-            for i, g in enumerate(mon):
-                rest = Element.from_monomial(mon[:i] + mon[i + 1:], H, c)
-                for sym, elem in _derive_generator(g).items():
-                    yield sym, rest * elem
-
-    return collect(pairs())

@@ -16,7 +16,8 @@ output mirrors the bracket notation used throughout the package.
 import re
 from fractions import Fraction
 
-from .algebra import H, HBAR, LOG, Element, gen_elem, li, log
+from .algebra import (H, HBAR, LOG, Element, gen_elem, li, log, monomial_str,
+                      monomial_weight)
 
 
 class ExprError(ValueError):
@@ -251,7 +252,6 @@ def _latex_sum(items, render):
 
 
 def latex_element(e):
-    from .algebra import monomial_weight
     items = sorted(e.terms.items(), key=lambda mc: (monomial_weight(mc[0]),
                                                     mc[0]))
     return _latex_sum(items, latex_generator)
@@ -332,7 +332,6 @@ def latex_matrix(rows):
 def text_tensor(t):
     if t.is_zero():
         return "0"
-    from .algebra import monomial_str
     parts = []
     for mons, c in sorted(t.terms.items(), key=lambda mc: str(mc[0])):
         body = " (x) ".join(monomial_str(m) if m else "1" for m in mons)
@@ -417,7 +416,6 @@ def letter_doc(sym):
 
 
 def element_document(e):
-    from .algebra import monomial_weight
     items = sorted(e.terms.items(), key=lambda mc: (monomial_weight(mc[0]),
                                                     mc[0]))
     return {"type": "element", "sort": e.sort,

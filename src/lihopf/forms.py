@@ -15,13 +15,14 @@ All algebra is exact; floats appear only in the sampling layer.
 """
 
 import cmath
+import itertools
 import math
 import random
 from fractions import Fraction
 
-from .algebra import LOG, Element, H, li, log
+from .algebra import Element, H, li, log
 from .lincomb import LinComb, collect, extend
-from .tensor import WordSum, symbol, u_, uv_key, v_
+from .tensor import WordSum, symbol, u_, uv_key, v_, weight_one_letters
 
 
 def _poly_key(m1, m2):
@@ -166,7 +167,6 @@ class Form(LinComb):
         """Evaluate on a point (letter values) and ``degree`` tangents."""
         if len(tangents) != self.degree:
             raise ValueError("need exactly %d tangent vectors" % self.degree)
-        import itertools
         total = 0j
         for basis, p in self.terms.items():
             coeff = p.evaluate(values)
@@ -281,12 +281,7 @@ def pullback_form(c, f):
 # embeddings between linear Polys and weight-at-most-one Elements
 
 def _letter_of_generator(g):
-    if g.kind == LOG:
-        return Poly.variable(u_(g.indices[0]))
-    if g.weight == 1 and not g.inverted:
-        a, b = g.indices
-        return -Poly.variable(v_(a, b - 1))
-    raise ValueError("element is not expressible in the letters: %s" % (g,))
+    return Poly({(sym,): c for sym, c in weight_one_letters(g).items()})
 
 
 def element_to_poly(e):

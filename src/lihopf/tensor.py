@@ -3,8 +3,14 @@ the symbol map.
 
 Tensor: exact n-fold tensors whose slots hold monomials of Elements.
 WordSum: Q-combinations of words in the weight-one letters u_i, v_{i,j},
-with the shuffle product, deconcatenation, the canonical projection onto
-indecomposables, and the symbol map (maximal iterated coproduct).
+with the shuffle product, deconcatenation and the canonical projection
+onto indecomposables.
+
+The symbol map (maximal iterated coproduct) is computed from the
+weight-lowering derivation ``derive``, the (n-1, 1) piece of the
+coproduct written in letters: by coassociativity the symbol peels one
+letter at a time off the right of a word, so it never runs the bar
+coproduct or the inversion map.
 """
 
 import functools
@@ -15,6 +21,8 @@ from .algebra import (
     H,
     LOG,
     Element,
+    gen_elem,
+    li,
     monomial_weight,
     mul_monomials,
 )
@@ -214,34 +222,86 @@ def project_pi(ws):
 
 
 # ---------------------------------------------------------------------------
+# the weight-lowering derivation
+#
+# The (n-1, 1) piece of the coproduct, written in letters.  Values are
+# dicts mapping a letter (u_i or v_{i,j}) to the Element multiplying its
+# differential.
+
+def _dlog_window(a, b):
+    return [(u_(r), 1) for r in range(a, b)]
+
+
+def _dli1_window(a, b):
+    return [(v_(a, b - 1), -1)]
+
+
+def _derive_generator(g):
+    if g.inverted:
+        raise ValueError("the derivation is defined on regular brackets only")
+    if g.kind == LOG:
+        return {u_(g.indices[0]): Element.one(H)}
+    p = g.indices
+    n = g.weights
+    d = len(n)
+    pairs = []
+    # lower one weight by differentiating a letter's log
+    for k in range(d):
+        if n[k] >= 2:
+            e = gen_elem(li(p, n[:k] + (n[k] - 1,) + n[k + 1:]), H)
+            pairs += [(sym, e * c) for sym, c in _dlog_window(p[k], p[k + 1])]
+    # drop a weight-one head letter
+    if n[0] == 1:
+        e = gen_elem(li(p[1:], n[1:]), H) if d > 1 else Element.one(H)
+        pairs += [(sym, e * c) for sym, c in _dli1_window(p[0], p[1])]
+    # absorb a weight-one letter into its left neighbour
+    for k in range(1, d):
+        if n[k] == 1:
+            e = gen_elem(li(p[:k] + p[k + 1:], n[:k] + n[k + 1:]), H)
+            pairs += [(sym, e * c) for sym, c in _dli1_window(p[k], p[k + 1])]
+    # absorb a weight-one letter into its right neighbour (with both the
+    # letter's own differentials, and an overall minus sign)
+    for k in range(0, d - 1):
+        if n[k] == 1:
+            e = gen_elem(li(p[:k + 1] + p[k + 2:], n[:k] + n[k + 1:]), H)
+            pairs += [(sym, e * (-c)) for sym, c in
+                      _dli1_window(p[k], p[k + 1]) + _dlog_window(p[k], p[k + 1])]
+    return collect(pairs)
+
+
+def derive(e):
+    """The weight-lowering derivation, extended by the Leibniz rule."""
+    if e.sort != H:
+        raise ValueError("the derivation lives on the plain sort")
+
+    def pairs():
+        for mon, c in e.terms.items():
+            for i, g in enumerate(mon):
+                rest = Element.from_monomial(mon[:i] + mon[i + 1:], H, c)
+                for sym, elem in _derive_generator(g).items():
+                    yield sym, rest * elem
+
+    return collect(pairs())
+
+
+# ---------------------------------------------------------------------------
 # the symbol map
-
-def _letters_of_monomial(mon):
-    if len(mon) != 1:
-        raise ValueError("weight-one slot is not a single generator")
-    return weight_one_letters(mon[0])
-
 
 @memo
 def _symbol_monomial(mon):
-    n = monomial_weight(mon)
-    if n == 0:
-        out = WordSum.unit()
-    elif n == 1:
-        out = WordSum({(sym,): c for sym, c in _letters_of_monomial(mon).items()})
-    else:
-        from .coproduct import coproduct as _coproduct
-        t = _coproduct(Element.from_monomial(mon, H)).component((1, n - 1))
-        out = WordSum()._new(collect(
-            ((sym,) + w, c * cl * cw)
-            for (ml, mr), c in t.terms.items()
-            for sym, cl in _letters_of_monomial(ml).items()
-            for w, cw in _symbol_monomial(mr).terms.items()))
-    return out.frozen()
+    if not mon:
+        return WordSum.unit().frozen()
+    return WordSum()._new(collect(
+        (w + (sym,), c * cw)
+        for sym, e in derive(Element.from_monomial(mon, H)).items()
+        for m, c in e.terms.items()
+        for w, cw in _symbol_monomial(m).terms.items())).frozen()
 
 
 def symbol(e):
-    """Maximal iterated coproduct, peeling weight-one pieces off the left."""
+    """Maximal iterated coproduct.  By coassociativity it is fixed by the
+    (n-1, 1) piece, which is the derivation: symbol(m) is the sum over
+    letters s of symbol(d_s m) with s appended to each word."""
     if e.sort != H:
         raise ValueError("the symbol is defined on the plain sort only")
     return linear(e, _symbol_monomial, WordSum())

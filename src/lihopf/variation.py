@@ -24,10 +24,10 @@ from types import MappingProxyType
 
 from .algebra import (Element, H, HBAR, ZERO_VECTOR, gen_elem,
                       generator_to_vector, precede_key, vector_to_generator)
-from .coproduct import antipode, coproduct, derive
+from .coproduct import antipode, coproduct
 from .forms import Form, Poly, element_to_poly, poly_to_element, w_element
 from .lincomb import collect, memo
-from .tensor import Tensor
+from .tensor import Tensor, derive
 
 
 def enumerate_keys(nvec):

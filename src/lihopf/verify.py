@@ -17,6 +17,7 @@ import time
 from dataclasses import dataclass, field
 from fractions import Fraction
 
+from . import expr
 from .algebra import (
     H,
     HBAR,
@@ -86,8 +87,6 @@ from .variation import (
 
 def _show(x):
     """Readable rendering for failure diffs."""
-    from . import expr
-
     if isinstance(x, Element):
         return str(x)
     if isinstance(x, Tensor):

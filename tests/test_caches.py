@@ -49,6 +49,23 @@ def test_errors_are_not_cached():
             build_V((1, 2), HBAR, closed=False)
 
 
+def test_symbol_never_reaches_the_coproduct():
+    # the symbol peels letters with the derivation; it runs no inversion
+    # and no bar coproduct, so their memos stay empty
+    memos = {m.__wrapped__.__qualname__: m for m in MEMOS}
+    clear_caches()
+    symbol(gen_elem(li((1, 2, 3, 4), (2, 2, 2)), H)
+           * gen_elem(li((2, 3), (1,)), H))
+    assert memos["_symbol_monomial"].cache_info().currsize
+    for name in ("inv_generator", "_coproduct_bar_generator",
+                 "_inv_series_on"):
+        assert memos[name].cache_info().currsize == 0, name
+
+
+def _sources():
+    return sorted(pathlib.Path(lihopf.__file__).parent.glob("*.py"))
+
+
 def _empty_dict(node):
     if isinstance(node, ast.Dict):
         return not node.keys
@@ -60,7 +77,7 @@ def test_no_module_level_cache_dict():
     # a module-level empty dict is how a hand-rolled cache starts; caches
     # go through ``lincomb.memo`` so that ``clear_caches`` reaches them
     found = []
-    for path in sorted(pathlib.Path(lihopf.__file__).parent.glob("*.py")):
+    for path in _sources():
         for node in ast.parse(path.read_text()).body:
             if isinstance(node, ast.Assign):
                 targets = node.targets
@@ -72,3 +89,16 @@ def test_no_module_level_cache_dict():
                 found.extend((path.stem, t.id) for t in targets
                              if isinstance(t, ast.Name))
     assert found == [("verify", "_SUITES")]
+
+
+def test_no_function_level_sibling_import():
+    # a sibling module imported inside a function hides an import cycle;
+    # modules import each other at the top, so the import graph is visible
+    found = []
+    for path in _sources():
+        for fn in ast.walk(ast.parse(path.read_text())):
+            if isinstance(fn, (ast.FunctionDef, ast.AsyncFunctionDef)):
+                found.extend((path.stem, fn.name) for node in ast.walk(fn)
+                             if isinstance(node, ast.ImportFrom)
+                             and node.level)
+    assert found == []

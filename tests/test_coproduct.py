@@ -13,12 +13,12 @@ from lihopf.coproduct import (
     coproduct,
     coproduct_bar,
     coproduct_h,
-    derive,
     inv_element,
     reduced_coproduct,
 )
 from lihopf.lincomb import collect
-from lihopf.tensor import Tensor, weight_one_letters
+from lihopf.tensor import Tensor, derive, weight_one_letters
+from lihopf.verify import weight_tuples
 
 E = gen_elem
 
@@ -276,10 +276,10 @@ def test_derive_leibniz():
 
 def test_derive_dual_route():
     # the derivation must equal the weight-(n-1,1) coproduct component
-    # contracted against the letter differentials
-    gens = [li((1, 2, 3), (2, 1)), li((1, 2, 3), (1, 2)), li((1, 2), (4,)),
-            li((1, 2, 3, 4), (1, 1, 1)), li((1, 3, 4), (2, 2)),
-            li((2, 4, 5), (1, 3))]
+    # contracted against the letter differentials, on every bracket of
+    # depth <= 3 and weight <= 5 at the standard and one spread placement
+    gens = [li(p[:d + 1], n) for d in (1, 2, 3) for n in weight_tuples(5, d)
+            for p in ((1, 2, 3, 4), (1, 3, 4, 7))]
     for g in gens:
         e = E(g, H)
         assert derive(e) == derive_via_coproduct(e), g

@@ -1,5 +1,6 @@
 """Tensors, words, the canonical projection, and the symbol map."""
 
+import functools
 import itertools
 from fractions import Fraction
 
@@ -8,6 +9,7 @@ from hypothesis import given, settings, strategies as st
 
 from lihopf.algebra import H, HBAR, Element, gen_elem, li, log, monomial_weight
 from lihopf.coproduct import coproduct
+from lihopf.lincomb import linear
 from lihopf.tensor import (
     Tensor,
     WordSum,
@@ -20,6 +22,7 @@ from lihopf.tensor import (
     v_,
     weight_one_letters,
 )
+from lihopf.verify import weight_tuples
 
 E = gen_elem
 
@@ -41,6 +44,38 @@ def project_pi_closed(word):
         for w, m in shuffle_words(pref, word[i:]).items():
             out = out + WordSum({w: Fraction((-1) ** i * (n - i) * m, n)})
     return out
+
+
+def _letters_of_monomial(mon):
+    if len(mon) != 1:
+        raise ValueError("weight-one slot is not a single generator")
+    return weight_one_letters(mon[0]).items()
+
+
+@functools.cache
+def _symbol_monomial_via_coproduct(mon):
+    n = monomial_weight(mon)
+    if n == 0:
+        return WordSum.unit()
+    if n == 1:
+        return WordSum({(sym,): c for sym, c in _letters_of_monomial(mon)})
+    t = coproduct(Element.from_monomial(mon, H)).component((1, n - 1))
+    out = WordSum()
+    for (ml, mr), c in t.terms.items():
+        tail = _symbol_monomial_via_coproduct(mr)
+        for sym, cl in _letters_of_monomial(ml):
+            out = out + tail.prepend_letter(sym) * (c * cl)
+    return out
+
+
+def symbol_via_coproduct(e):
+    """Dual route for the symbol: project the coproduct onto its
+    weight-(1, n-1) part, read the left factor as a letter and recurse on
+    the right one.  Must agree with ``symbol``, which peels letters off
+    the right with the derivation, identically."""
+    if e.sort != H:
+        raise ValueError("the symbol is defined on the plain sort only")
+    return linear(e, _symbol_monomial_via_coproduct, WordSum())
 
 
 _SYMBOL_RIGHT_CACHE = {}
@@ -257,11 +292,33 @@ def test_symbol_21_golden():
 
 
 def test_symbol_right_agrees():
-    gens = [li((1, 2, 3), (2, 1)), li((1, 2, 3), (1, 2)), li((1, 2), (4,)),
-            li((1, 3, 4), (1, 1)), li((1, 2, 3, 4), (1, 1, 1))]
+    # every bracket of depth <= 3 and weight <= 5, at the standard and one
+    # spread placement
+    gens = [li(p[:d + 1], n) for d in (1, 2, 3) for n in weight_tuples(5, d)
+            for p in ((1, 2, 3, 4), (1, 3, 4, 7))]
     for g in gens:
         e = E(g)
-        assert symbol(e) == symbol_right(e), g
+        want = symbol(e)
+        assert want == symbol_via_coproduct(e), g
+        assert want == symbol_right(e), g
+
+
+# products of one or two log factors with up to two brackets
+PRODUCTS = st.tuples(
+    st.lists(st.sampled_from([log(1), log(2), log(3)]), min_size=1,
+             max_size=2),
+    st.lists(st.sampled_from([li((1, 2), (1,)), li((1, 2, 3), (2, 1)),
+                              li((1, 3, 4), (1, 1)), li((2, 4), (2,))]),
+             max_size=2)).map(lambda lb: tuple(sorted(lb[0] + lb[1])))
+PRODUCT_SUMS = st.dictionaries(
+    PRODUCTS, st.fractions(min_value=-3, max_value=3, max_denominator=3),
+    min_size=1, max_size=4).map(lambda t: Element(H, t))
+
+
+@settings(max_examples=40, deadline=None)
+@given(PRODUCT_SUMS)
+def test_symbol_agrees_with_coproduct_route_on_products(e):
+    assert symbol(e) == symbol_via_coproduct(e)
 
 
 def test_symbol_is_multiplicative():
