@@ -20,9 +20,10 @@ import math
 import random
 from fractions import Fraction
 
-from .algebra import Element, H, li, log
+from .algebra import Element, H
 from .lincomb import LinComb, collect, extend
-from .tensor import WordSum, symbol, u_, uv_key, v_, weight_one_letters
+from .tensor import (WordSum, letter_generator, symbol, u_, uv_key, v_,
+                     weight_one_letters)
 
 
 def _poly_key(m1, m2):
@@ -292,9 +293,8 @@ def element_to_poly(e):
 
 def poly_to_element(p, sort=H):
     def generator_of_letter(sym):
-        if sym[0] == "u":
-            return Element.from_generator(log(sym[1]), sort)
-        return -Element.from_generator(li((sym[1], sym[2] + 1), (1,)), sort)
+        g, c = letter_generator(sym)
+        return Element.from_generator(g, sort) * c
 
     return extend(p, generator_of_letter, Element.one(sort))
 

@@ -23,6 +23,7 @@ from .algebra import (
     Element,
     gen_elem,
     li,
+    log,
     monomial_weight,
     mul_monomials,
 )
@@ -145,6 +146,13 @@ def weight_one_letters(g):
         a, b = g.indices
         return {v_(a, b - 1): -1}
     raise ValueError("not a regular weight-one generator: %s" % (g,))
+
+
+def letter_generator(sym):
+    """The (g, c) with weight_one_letters(g) == {sym: c}."""
+    if sym[0] == "u":
+        return log(sym[1]), 1
+    return li((sym[1], sym[2] + 1), (1,)), -1
 
 
 class WordSum(LinComb):

@@ -277,9 +277,10 @@ def test_derive_leibniz():
 def test_derive_dual_route():
     # the derivation must equal the weight-(n-1,1) coproduct component
     # contracted against the letter differentials, on every bracket of
-    # depth <= 3 and weight <= 5 at the standard and one spread placement
+    # depth <= 3 and weight <= 5 at the standard placement, one spread
+    # placement and one that does not start at 1
     gens = [li(p[:d + 1], n) for d in (1, 2, 3) for n in weight_tuples(5, d)
-            for p in ((1, 2, 3, 4), (1, 3, 4, 7))]
+            for p in ((1, 2, 3, 4), (1, 3, 4, 7), (2, 4, 5, 8))]
     for g in gens:
         e = E(g, H)
         assert derive(e) == derive_via_coproduct(e), g

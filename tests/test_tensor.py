@@ -14,6 +14,7 @@ from lihopf.tensor import (
     Tensor,
     WordSum,
     deconcatenate,
+    letter_generator,
     project_pi,
     shuffle_words,
     symbol,
@@ -168,6 +169,14 @@ def test_letters_of_weight_one():
         weight_one_letters(li((1, 2), (2,)))
 
 
+def test_letter_generator_inverts_weight_one_letters():
+    syms = [u_(r) for r in range(1, 5)]
+    syms += [v_(i, j) for i in range(1, 5) for j in range(i, 5)]
+    for sym in syms:
+        g, c = letter_generator(sym)
+        assert weight_one_letters(g) == {sym: c}, sym
+
+
 def test_uv_key_orders_u_before_v():
     syms = [v_(1, 2), u_(2), v_(1, 1), u_(1)]
     assert sorted(syms, key=uv_key) == [u_(1), u_(2), v_(1, 1), v_(1, 2)]
@@ -292,10 +301,10 @@ def test_symbol_21_golden():
 
 
 def test_symbol_right_agrees():
-    # every bracket of depth <= 3 and weight <= 5, at the standard and one
-    # spread placement
+    # every bracket of depth <= 3 and weight <= 5, at the standard placement,
+    # one spread placement and one that does not start at 1
     gens = [li(p[:d + 1], n) for d in (1, 2, 3) for n in weight_tuples(5, d)
-            for p in ((1, 2, 3, 4), (1, 3, 4, 7))]
+            for p in ((1, 2, 3, 4), (1, 3, 4, 7), (2, 4, 5, 8))]
     for g in gens:
         e = E(g)
         want = symbol(e)
