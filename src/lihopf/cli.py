@@ -20,26 +20,13 @@ from .coproduct import inv_element
 from .expr import (
     ExprError,
     blocks_document,
-    element_document,
-    form_document,
-    latex_element,
-    latex_form,
     latex_matrix,
-    latex_poly,
-    latex_tensor,
-    latex_words,
     matrix_document,
     parse,
-    poly_document,
+    render,
     report_document,
-    tensor_document,
-    text_form,
-    text_poly,
-    text_tensor,
-    text_words,
-    words_document,
 )
-from .forms import Form, Poly, w_element
+from .forms import w_element
 from .tensor import symbol as symbol_map
 from .variation import (
     build_V,
@@ -69,6 +56,13 @@ def _emit_json(doc):
     click.echo(json.dumps(doc, indent=2, sort_keys=True))
 
 
+def _emit(x, fmt):
+    if fmt == "json":
+        _emit_json(render(x, fmt))
+    else:
+        click.echo(render(x, fmt))
+
+
 @click.group()
 def main():
     """Exact calculus for symbolic multiple polylogarithms.
@@ -90,13 +84,7 @@ def main():
 def coproduct_cmd(expr, sort_name, fmt):
     """Coproduct of EXPR, as a two-slot tensor."""
     e = _parse_expr(expr, SORTS[sort_name])
-    t = coproduct_map(e)
-    if fmt == "json":
-        _emit_json(tensor_document(t))
-    elif fmt == "latex":
-        click.echo(latex_tensor(t))
-    else:
-        click.echo(text_tensor(t))
+    _emit(coproduct_map(e), fmt)
 
 
 @main.command("inv")
@@ -105,13 +93,7 @@ def coproduct_cmd(expr, sort_name, fmt):
 def inv_cmd(expr, fmt):
     """Rewrite EXPR (extended sort) without inverted generators."""
     e = _parse_expr(expr, HBAR)
-    out = inv_element(e)
-    if fmt == "json":
-        _emit_json(element_document(out))
-    elif fmt == "latex":
-        click.echo(latex_element(out))
-    else:
-        click.echo(str(out))
+    _emit(inv_element(e), fmt)
 
 
 @main.command("symbol")
@@ -121,13 +103,7 @@ def symbol_cmd(expr, fmt):
     """Symbol of EXPR: its maximal iterated coproduct, as words in the
     weight-one letters u_i and v_{i,j}."""
     e = _parse_expr(expr, H)
-    ws = symbol_map(e)
-    if fmt == "json":
-        _emit_json(words_document(ws))
-    elif fmt == "latex":
-        click.echo(latex_words(ws))
-    else:
-        click.echo(text_words(ws))
+    _emit(symbol_map(e), fmt)
 
 
 @main.command("form")
@@ -136,13 +112,7 @@ def symbol_cmd(expr, fmt):
 def form_cmd(expr, fmt):
     """Holomorphic one-form attached to the symbol of EXPR."""
     e = _parse_expr(expr, H)
-    f = w_element(e)
-    if fmt == "json":
-        _emit_json(form_document(f))
-    elif fmt == "latex":
-        click.echo(latex_form(f))
-    else:
-        click.echo(text_form(f))
+    _emit(w_element(e), fmt)
 
 
 def _weights_tuple(text):
@@ -201,37 +171,14 @@ def varmatrix_cmd(weights, what, sort_name, fmt):
             acc = part if acc is None else mat_add(acc, part)
         rows = acc
 
-    def entry_doc(x):
-        if isinstance(x, Poly):
-            return poly_document(x)
-        if isinstance(x, Form):
-            return form_document(x)
-        return element_document(x)
-
-    def entry_latex(x):
-        if isinstance(x, Poly):
-            return latex_poly(x)
-        if isinstance(x, Form):
-            return latex_form(x)
-        return latex_element(x)
-
-    def entry_text(x):
-        if isinstance(x, Poly):
-            return text_poly(x)
-        if isinstance(x, Form):
-            return text_form(x)
-        return str(x)
-
+    cells = [[render(x, fmt) for x in row] for row in rows]
     if fmt == "json":
-        _emit_json(matrix_document(
-            what, nvec, sort_name, V.keys,
-            [[entry_doc(x) for x in row] for row in rows]))
+        _emit_json(matrix_document(what, nvec, sort_name, V.keys, cells))
     elif fmt == "latex":
-        click.echo(latex_matrix(
-            [[entry_latex(x) for x in row] for row in rows]))
+        click.echo(latex_matrix(cells))
     else:
-        for row in rows:
-            click.echo(" | ".join(entry_text(x) for x in row))
+        for row in cells:
+            click.echo(" | ".join(row))
 
 
 @main.command("verify")

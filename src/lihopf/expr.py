@@ -9,15 +9,20 @@ The text grammar round-trips with ``str(element)``:
                   generators; rationals as p/q; products by juxtaposition
                   or '*'; powers by '^' with a nonnegative integer
 
-JSON documents follow the shipped schema (document.schema.json); LaTeX
-output mirrors the bracket notation used throughout the package.
+``render(x, fmt)`` writes an Element, Tensor, WordSum, Poly or Form as
+a JSON document (``json``) or a string (``latex``, ``text``).  JSON
+documents follow the shipped schema (document.schema.json); LaTeX
+output mirrors the bracket notation used throughout the package.  In
+every format a constant term prints as its bare rational.
 """
 
 import re
 from fractions import Fraction
 
-from .algebra import (H, HBAR, LOG, Element, gen_elem, li, log, monomial_str,
+from .algebra import (H, LOG, Element, gen_elem, li, log, monomial_str,
                       monomial_weight)
+from .forms import Form, Poly
+from .tensor import Tensor, WordSum
 
 
 class ExprError(ValueError):
@@ -182,8 +187,109 @@ def parse(text, sort=H):
     return _Parser(text, sort).parse()
 
 
-def render_text(e):
-    return str(e)
+_KINDS = {Element: "element", Tensor: "tensor", WordSum: "words",
+          Poly: "poly", Form: "form"}
+_RENDERER = {"json": "%s_document", "latex": "latex_%s", "text": "text_%s"}
+
+
+def render(x, fmt):
+    """x in format fmt (json, latex or text) by the renderer for its
+    class, looked up in the module globals at call time so that a
+    rebound renderer is the one called.  A value of any other class
+    (a scalar in a failure diff) renders as str(x)."""
+    kind = _KINDS.get(type(x))
+    if kind is None:
+        return str(x)
+    return globals()[_RENDERER[fmt] % kind](x)
+
+
+# ---------------------------------------------------------------------------
+# one writer per format for a signed sum, and one renderer per format for
+# a letter; a letter is its name followed by its indices (tensor.u_, v_)
+
+def _by_weight(e):
+    return sorted(e.terms.items(), key=lambda mc: (monomial_weight(mc[0]),
+                                                   mc[0]))
+
+
+def _by_degree(p):
+    return sorted(p.terms.items(), key=lambda mc: (len(mc[0]), mc[0]))
+
+
+def _by_str(x):
+    return sorted(x.terms.items(), key=lambda mc: str(mc[0]))
+
+
+def _text_sum(items, body_of):
+    """items: sorted (key, coeff); body_of(key) is "" for the empty key,
+    whose term prints as its bare rational."""
+    parts = []
+    for key, c in items:
+        mag = abs(c)
+        body = body_of(key)
+        if not body:
+            piece = str(mag)
+        elif mag == 1:
+            piece = body
+        else:
+            piece = "%s %s" % (mag, body)
+        if parts:
+            parts.append(("+ " if c > 0 else "- ") + piece)
+        else:
+            parts.append(piece if c > 0 else "-" + piece)
+    return " ".join(parts) if parts else "0"
+
+
+def _latex_sum(items, body_of):
+    """As _text_sum, in LaTeX."""
+    parts = []
+    for key, c in items:
+        num, den = abs(c).numerator, c.denominator
+        if num == den == 1:
+            mag = ""
+        elif den == 1:
+            mag = str(num)
+        else:
+            mag = r"\tfrac{%d}{%d}" % (num, den)
+        body = body_of(key)
+        if not body:
+            body = mag or "1"
+        elif mag:
+            body = mag + r"\, " + body
+        if c < 0:
+            parts.append("- " + body)
+        else:
+            parts.append("+ " + body if parts else body)
+    return " ".join(parts) if parts else "0"
+
+
+def _terms_doc(items, field, body_of):
+    return [{"coeff": {"num": c.numerator, "den": c.denominator},
+             field: body_of(key)} for key, c in items]
+
+
+# by the length of the letter: its name and one or two indices
+_TEXT_LETTER = {2: "%s%d", 3: "%s%d,%d"}
+_LATEX_LETTER = {2: "%s_{%d}", 3: "%s_{%d,%d}"}
+
+
+def _letter_name(sym):
+    return _TEXT_LETTER[len(sym)] % sym
+
+
+def latex_letter(sym):
+    return _LATEX_LETTER[len(sym)] % sym
+
+
+def letter_doc(sym):
+    doc = {"d": sym[0], "i": sym[1]}
+    if len(sym) == 3:
+        doc["j"] = sym[2]
+    return doc
+
+
+def _letters_doc(letters):
+    return [letter_doc(s) for s in letters]
 
 
 # ---------------------------------------------------------------------------
@@ -210,114 +316,53 @@ def latex_generator(g):
     return "[%s]_{%s}" % (", ".join(letters), ns)
 
 
-def _latex_coeff(c, first):
-    sign = "-" if c < 0 else ("" if first else "+")
-    mag = abs(c)
-    if mag == 1:
-        return sign, ""
-    if mag.denominator == 1:
-        return sign, str(mag.numerator)
-    return sign, r"\tfrac{%d}{%d}" % (mag.numerator, mag.denominator)
-
-
-def _latex_monomial(mon, render):
-    if not mon:
-        return "1"
+def _latex_monomial(mon, render_factor):
+    """Equal neighbouring factors as one power; "" for the empty monomial."""
     parts = []
     i = 0
     while i < len(mon):
         j = i
         while j < len(mon) and mon[j] == mon[i]:
             j += 1
-        body = render(mon[i])
+        body = render_factor(mon[i])
         parts.append(body + ("^{%d}" % (j - i) if j > i + 1 else ""))
         i = j
     return " ".join(parts)
 
 
-def _latex_sum(items, render):
-    """items: sorted (monomial, coeff); render: monomial entry -> latex."""
-    if not items:
-        return "0"
-    out = []
-    for mon, c in items:
-        sign, mag = _latex_coeff(c, first=not out)
-        body = _latex_monomial(mon, render)
-        if body == "1":
-            body = mag or "1"
-        elif mag:
-            body = mag + r"\, " + body
-        out.append((sign + " " if sign else "") + body)
-    return " ".join(out).strip()
-
-
 def latex_element(e):
-    items = sorted(e.terms.items(), key=lambda mc: (monomial_weight(mc[0]),
-                                                    mc[0]))
-    return _latex_sum(items, latex_generator)
-
-
-def latex_letter(sym):
-    if sym[0] == "u":
-        return "u_{%d}" % sym[1]
-    return "v_{%d,%d}" % (sym[1], sym[2])
+    return _latex_sum(_by_weight(e),
+                      lambda mon: _latex_monomial(mon, latex_generator))
 
 
 def latex_tensor(t):
-    if t.is_zero():
-        return "0"
-    parts = []
-    for mons, c in sorted(t.terms.items(), key=lambda mc: str(mc[0])):
-        sign, mag = _latex_coeff(c, first=not parts)
-        body = r" \otimes ".join(_latex_monomial(m, latex_generator)
-                                 for m in mons)
-        if mag:
-            body = mag + r"\, " + body
-        parts.append((sign + " " if sign else "") + body)
-    return " ".join(parts).strip()
+    return _latex_sum(_by_str(t), lambda mons: r" \otimes ".join(
+        _latex_monomial(m, latex_generator) or "1" for m in mons))
 
 
 def latex_words(ws):
-    if ws.is_zero():
-        return "0"
-    parts = []
-    for word, c in sorted(ws.terms.items(), key=lambda mc: str(mc[0])):
-        sign, mag = _latex_coeff(c, first=not parts)
-        body = (r" \otimes ".join(latex_letter(s) for s in word)
-                if word else "1")
-        if mag:
-            body = mag + r"\, " + body
-        parts.append((sign + " " if sign else "") + body)
-    return " ".join(parts).strip()
+    return _latex_sum(_by_str(ws), lambda word: r" \otimes ".join(
+        latex_letter(s) for s in word))
 
 
 def latex_poly(p):
-    items = sorted(p.terms.items(), key=lambda mc: (len(mc[0]), mc[0]))
-    return _latex_sum(items, latex_letter)
+    return _latex_sum(_by_degree(p),
+                      lambda mon: _latex_monomial(mon, latex_letter))
 
 
 def latex_form(f):
-    if f.is_zero() if hasattr(f, "is_zero") else not f.terms:
-        return "0"
     parts = []
     for basis in sorted(f.terms):
-        poly = f.terms[basis]
-        if poly.is_zero():
-            continue
-        coeff = latex_poly(poly)
+        coeff = latex_poly(f.terms[basis])
         if "+" in coeff or "- " in coeff:
             coeff = r"\left(%s\right)" % coeff
         dlets = r" \wedge ".join(r"\mathrm{d}" + latex_letter(s)
                                  for s in basis)
-        head = "" if not parts else "+ "
         if coeff == "1":
-            parts.append(head + (dlets or "1"))
-        elif coeff.startswith("-") and "+" not in coeff:
-            parts.append(("-" if not parts else "- ")
-                         + (coeff.lstrip("- ") + r"\, " + dlets
-                            if dlets else coeff.lstrip("- ")))
+            piece = dlets or "1"
         else:
-            parts.append(head + coeff + (r"\, " + dlets if dlets else ""))
+            piece = coeff + (r"\, " + dlets if dlets else "")
+        parts.append("+ " + piece if parts else piece)
     return " ".join(parts) if parts else "0"
 
 
@@ -327,79 +372,43 @@ def latex_matrix(rows):
 
 
 # ---------------------------------------------------------------------------
-# plain-text renderers for compound objects
+# plain text
+
+def text_element(e):
+    return str(e)
+
 
 def text_tensor(t):
-    if t.is_zero():
-        return "0"
-    parts = []
-    for mons, c in sorted(t.terms.items(), key=lambda mc: str(mc[0])):
-        body = " (x) ".join(monomial_str(m) if m else "1" for m in mons)
-        parts.append(_signed(parts, c, body))
-    return " ".join(parts)
+    return _text_sum(_by_str(t), lambda mons: " (x) ".join(
+        monomial_str(m) or "1" for m in mons))
 
 
 def text_words(ws):
-    if ws.is_zero():
-        return "0"
-    parts = []
-    for word, c in sorted(ws.terms.items(), key=lambda mc: str(mc[0])):
-        body = (" (x) ".join(_letter_name(s) for s in word)
-                if word else "1")
-        parts.append(_signed(parts, c, body))
-    return " ".join(parts)
-
-
-def _letter_name(sym):
-    if sym[0] == "u":
-        return "u%d" % sym[1]
-    return "v%d,%d" % (sym[1], sym[2])
-
-
-def _signed(parts, c, body):
-    mag = abs(c)
-    piece = body if mag == 1 else "%s %s" % (mag, body)
-    if not parts:
-        return piece if c > 0 else "-" + piece
-    return ("+ " if c > 0 else "- ") + piece
+    return _text_sum(_by_str(ws), lambda word: " (x) ".join(
+        _letter_name(s) for s in word))
 
 
 def text_poly(p):
-    parts = []
-    for mon, c in sorted(p.terms.items(), key=lambda mc: (len(mc[0]), mc[0])):
-        body = " ".join(_letter_name(s) for s in mon) if mon else str(abs(c))
-        if mon:
-            parts.append(_signed(parts, c, body))
-        else:
-            parts.append(_signed(parts, c, "1") if abs(c) != 1
-                         else (str(c) if not parts
-                               else ("+ " if c > 0 else "- ") + str(abs(c))))
-    return " ".join(parts) if parts else "0"
+    return _text_sum(_by_degree(p), lambda mon: " ".join(
+        _letter_name(s) for s in mon))
 
 
 def text_form(f):
     parts = []
     for basis in sorted(f.terms):
-        poly = f.terms[basis]
-        if poly.is_zero():
-            continue
-        coeff = text_poly(poly)
+        coeff = text_poly(f.terms[basis])
         if " + " in coeff or " - " in coeff:
             coeff = "(%s)" % coeff
         dlets = " ^ ".join("d" + _letter_name(s) for s in basis)
         piece = coeff + (" " + dlets if dlets else "")
         if coeff == "1" and dlets:
             piece = dlets
-        parts.append(piece if not parts else "+ " + piece)
+        parts.append("+ " + piece if parts else piece)
     return " ".join(parts) if parts else "0"
 
 
 # ---------------------------------------------------------------------------
 # JSON documents
-
-def _coeff_doc(c):
-    return {"num": c.numerator, "den": c.denominator}
-
 
 def factor_doc(g):
     if g.kind == LOG:
@@ -409,55 +418,35 @@ def factor_doc(g):
             "indices": list(g.indices), "inverted": g.inverted}
 
 
-def letter_doc(sym):
-    if sym[0] == "u":
-        return {"d": "u", "i": sym[1]}
-    return {"d": "v", "i": sym[1], "j": sym[2]}
-
-
 def element_document(e):
-    items = sorted(e.terms.items(), key=lambda mc: (monomial_weight(mc[0]),
-                                                    mc[0]))
     return {"type": "element", "sort": e.sort,
-            "terms": [{"coeff": _coeff_doc(c),
-                       "factors": [factor_doc(g) for g in mon]}
-                      for mon, c in items]}
+            "terms": _terms_doc(_by_weight(e), "factors",
+                                lambda mon: [factor_doc(g) for g in mon])}
 
 
 def tensor_document(t):
     return {"type": "tensor", "sorts": list(t.sorts),
-            "terms": [{"coeff": _coeff_doc(c),
-                       "slots": [[factor_doc(g) for g in m] for m in mons]}
-                      for mons, c in sorted(t.terms.items(),
-                                            key=lambda mc: str(mc[0]))]}
+            "terms": _terms_doc(_by_str(t), "slots", lambda mons: [
+                [factor_doc(g) for g in m] for m in mons])}
 
 
 def words_document(ws):
     return {"type": "words",
-            "terms": [{"coeff": _coeff_doc(c),
-                       "word": [letter_doc(s) for s in word]}
-                      for word, c in sorted(ws.terms.items(),
-                                            key=lambda mc: str(mc[0]))]}
+            "terms": _terms_doc(_by_str(ws), "word", _letters_doc)}
 
 
 def poly_document(p):
     return {"type": "poly",
-            "terms": [{"coeff": _coeff_doc(c),
-                       "letters": [letter_doc(s) for s in mon]}
-                      for mon, c in sorted(p.terms.items(),
-                                           key=lambda mc: (len(mc[0]),
-                                                           mc[0]))]}
+            "terms": _terms_doc(_by_degree(p), "letters", _letters_doc)}
 
 
 def form_document(f):
     terms = []
     for basis in sorted(f.terms):
-        poly = f.terms[basis]
-        for mon, c in sorted(poly.terms.items(),
-                             key=lambda mc: (len(mc[0]), mc[0])):
-            terms.append({"coeff": _coeff_doc(c),
-                          "letters": [letter_doc(s) for s in mon],
-                          "basis": [letter_doc(s) for s in basis]})
+        for term in _terms_doc(_by_degree(f.terms[basis]), "letters",
+                               _letters_doc):
+            term["basis"] = _letters_doc(basis)
+            terms.append(term)
     return {"type": "form", "degree": f.degree, "terms": terms}
 
 

@@ -274,7 +274,8 @@ def w_closed_form(V, n):
     acc = None
     for k in range(n):
         l = n - 1 - k
-        term = matmul(matmul(pows[k], omf), pows[l])
+        term = matmul(matmul(pows[k], omf, mul=lambda p, f: f.scale(p)),
+                      pows[l], mul=lambda f, p: f.scale(p))
         coeff = Fraction((-1) ** k * math.comb(n - 1, k), math.factorial(n))
         term = mat_scale(term, coeff)
         acc = term if acc is None else mat_add(acc, term)

@@ -85,21 +85,6 @@ from .variation import (
 # ---------------------------------------------------------------------------
 # reports
 
-def _show(x):
-    """Readable rendering for failure diffs."""
-    if isinstance(x, Element):
-        return str(x)
-    if isinstance(x, Tensor):
-        return expr.text_tensor(x)
-    if isinstance(x, WordSum):
-        return expr.text_words(x)
-    if isinstance(x, Form):
-        return expr.text_form(x)
-    if isinstance(x, Poly):
-        return expr.text_poly(x)
-    return str(x)
-
-
 @dataclass
 class Report:
     """Outcome of one suite: case count, failures, wall time."""
@@ -122,7 +107,8 @@ class Report:
         self.cases += 1
         if got != want:
             self.failures.append(
-                "%s: %s != %s" % (label, _show(got), _show(want)))
+                "%s: %s != %s" % (label, expr.render(got, "text"),
+                                   expr.render(want, "text")))
 
     def summary(self):
         word = "pass" if self.passed else "FAIL"
