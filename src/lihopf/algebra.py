@@ -326,14 +326,6 @@ def expand_log(i, j, sort=H, inverse=False):
 ZERO_VECTOR = ()
 
 
-def vector_norm(v):
-    return sum(v)
-
-
-def vector_dim(v):
-    return len(v)
-
-
 def generator_to_vector(g):
     """Encode a regular bracket as its weight vector.
 
@@ -376,7 +368,7 @@ def precede_key(v):
     where the two differ is larger' -- encoded by negating the reversed
     tuple so plain lexicographic comparison does the rest.
     """
-    return (vector_norm(v), vector_dim(v), tuple(-x for x in reversed(v)))
+    return (sum(v), len(v), tuple(-x for x in reversed(v)))
 
 
 def precede(a, b):

@@ -30,12 +30,10 @@ from .forms import w_element
 from .tensor import symbol as symbol_map
 from .variation import (
     build_V,
-    mat_add,
     omega_form_matrix,
     omega_hat,
     omega_matrix,
     v_hat,
-    w_of_V,
 )
 
 SORTS = {"H": H, "Hbar": HBAR}
@@ -165,11 +163,8 @@ def varmatrix_cmd(weights, what, sort_name, fmt):
     elif what == "Vhat":
         rows = v_hat(V)
     else:
-        acc = None
-        for n in range(1, sum(nvec) + 1):
-            part = w_of_V(V, n)
-            acc = part if acc is None else mat_add(acc, part)
-        rows = acc
+        # the sum over n of w(V_n), by linearity of w
+        rows = [[w_element(e) for e in row] for row in V.rows]
 
     cells = [[render(x, fmt) for x in row] for row in rows]
     if fmt == "json":

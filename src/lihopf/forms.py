@@ -22,12 +22,12 @@ from fractions import Fraction
 
 from .algebra import Element, H
 from .lincomb import LinComb, collect, extend
-from .tensor import (WordSum, letter_generator, symbol, u_, uv_key, v_,
+from .tensor import (WordSum, letter_generator, symbol, u_, v_,
                      weight_one_letters)
 
 
 def _poly_key(m1, m2):
-    return tuple(sorted(m1 + m2, key=uv_key))
+    return tuple(sorted(m1 + m2))
 
 
 class Poly(LinComb):
@@ -109,7 +109,7 @@ def _merge_basis(b1, b2):
     # insertion sort, counting swaps
     for i in range(1, len(merged)):
         j = i
-        while j > 0 and uv_key(merged[j - 1]) > uv_key(merged[j]):
+        while j > 0 and merged[j - 1] > merged[j]:
             merged[j - 1], merged[j] = merged[j], merged[j - 1]
             sign = -sign
             j -= 1
@@ -144,6 +144,9 @@ class Form(LinComb):
         return Form(1, {(sym,): Poly.one()})
 
     def __mul__(self, other):
+        """The wedge product with a Form; a Poly or rational scales."""
+        if other.__class__ is Form:
+            return self.wedge(other)
         if isinstance(other, self._scalars):
             return self.scale(other)
         return NotImplemented
@@ -212,7 +215,7 @@ def w_tensor(ws):
             n = len(word)
             pref = Fraction((-1) ** (n + 1), math.factorial(n)) * c
             for i in range(n):
-                rest = tuple(sorted(word[:i] + word[i + 1:], key=uv_key))
+                rest = tuple(sorted(word[:i] + word[i + 1:]))
                 coeff = pref * ((-1) ** i) * math.comb(n - 1, i)
                 yield (word[i],), Poly({rest: coeff})
 
@@ -228,7 +231,7 @@ def eta_tensor(ws):
         for word, c in ws.terms.items():
             n = len(word)
             if n:
-                rest = tuple(sorted(word[1:], key=uv_key))
+                rest = tuple(sorted(word[1:]))
                 coeff = Fraction((-1) ** (n + 1), math.factorial(n - 1)) * c
                 yield (word[0],), Poly({rest: coeff})
 

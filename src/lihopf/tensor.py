@@ -46,10 +46,6 @@ class Tensor(LinComb):
         self.sorts = tuple(sorts)
         self._init_terms(terms)
 
-    @property
-    def arity(self):
-        return len(self.sorts)
-
     @staticmethod
     def zero(sorts):
         return Tensor(sorts)
@@ -119,6 +115,9 @@ class Tensor(LinComb):
 
 # ---------------------------------------------------------------------------
 # weight-one letters
+#
+# A letter is a tuple, so letters sort by tuple order: all u_i before all
+# v_{i,j}, each by its indices.
 
 def u_(i):
     return ("u", int(i))
@@ -126,13 +125,6 @@ def u_(i):
 
 def v_(i, j):
     return ("v", int(i), int(j))
-
-
-def uv_key(sym):
-    """Total order on letters: all u_i before all v_{i,j}, each by index."""
-    if sym[0] == "u":
-        return (0, sym[1], sym[1])
-    return (1, sym[1], sym[2])
 
 
 def weight_one_letters(g):

@@ -14,7 +14,7 @@ gauge-transformed fundamental solution V-hat.
 
 The componentwise key enumeration is not always closed under taking left
 slots (the smallest failure is the weight vector (1, 2)); build_V grows
-the key set to closure by default and refuses to proceed otherwise.
+the key set to closure.
 """
 
 import itertools
@@ -79,13 +79,6 @@ class VariationMatrix:
     def entry(self, v, w):
         return self.rows[self.index[v]][self.index[w]]
 
-    def generator(self, v):
-        return None if v == ZERO_VECTOR else vector_to_generator(v)
-
-    def weight_part(self, n):
-        """Dense matrix (list of lists) of the weight-n parts."""
-        return [[e.weight_part(n) for e in row] for row in self.rows]
-
     def block_boundaries(self):
         """Cumulative key counts per total weight level."""
         counts = {}
@@ -103,36 +96,23 @@ class VariationMatrix:
             self.nvec, len(self.keys), self.sort)
 
 
-def build_V(nvec, sort=HBAR, closed=True):
+def build_V(nvec, sort=HBAR):
     """The variation matrix of the weight vector nvec in the given sort,
-    its key set grown to closure under left slots unless closed is false
-    (then an unclosed key set raises ValueError)."""
-    return _build_V(tuple(nvec), sort, bool(closed))
+    its key set grown to closure under left slots."""
+    return _build_V(tuple(nvec), sort)
 
 
 @memo
-def _build_V(nvec, sort, closed):
-    keys = enumerate_keys(nvec)
-    known = {k: _row_of(k, sort) for k in keys}
-    if closed:
-        while True:
-            missing = set()
-            for row in known.values():
-                for w in row:
-                    if w not in known:
-                        missing.add(w)
-            if not missing:
-                break
-            for w in missing:
-                known[w] = _row_of(w, sort)
-        keys = sorted(known, key=precede_key)
-    else:
-        for k in keys:
-            for w in known[k]:
-                if w not in known:
-                    raise ValueError(
-                        "key set of %s is not closed under left slots:"
-                        " %s produced %s" % (nvec, k, w))
+def _build_V(nvec, sort):
+    known = {k: _row_of(k, sort) for k in enumerate_keys(nvec)}
+    while True:
+        missing = {w for row in known.values() for w in row
+                   if w not in known}
+        if not missing:
+            break
+        for w in missing:
+            known[w] = _row_of(w, sort)
+    keys = sorted(known, key=precede_key)
     # rows are tuples of read-only entries: the cached matrix is shared by
     # every caller
     zero = Element.zero(sort).frozen()
@@ -143,14 +123,14 @@ def _build_V(nvec, sort, closed):
 # ---------------------------------------------------------------------------
 # dense matrix helpers (sizes here are tiny)
 
-def matmul(A, B, mul=lambda a, b: a * b):
+def matmul(A, B):
     out = []
     for i in range(len(A)):
         row = []
         for j in range(len(B[0])):
-            acc = mul(A[i][0], B[0][j])
+            acc = A[i][0] * B[0][j]
             for r in range(1, len(B)):
-                acc = acc + mul(A[i][r], B[r][j])
+                acc = acc + A[i][r] * B[r][j]
             row.append(acc)
         out.append(row)
     return out
@@ -164,18 +144,8 @@ def mat_scale(A, c):
     return [[a * c for a in row] for row in A]
 
 
-def mat_eq(A, B):
-    return all(a == b for ra, rb in zip(A, B) for a, b in zip(ra, rb))
-
-
-def _is_zero_entry(x):
-    if hasattr(x, "is_zero"):
-        return x.is_zero()
-    return x == 0
-
-
 def mat_is_zero(A):
-    return all(_is_zero_entry(x) for row in A for x in row)
+    return not any(x for row in A for x in row)
 
 
 def nilpotent_exp(M, one, zero, negate=False):
@@ -255,13 +225,15 @@ def derivation_ok(V):
     return True
 
 
-def w_entrywise(V, n):
+def w_of_V(V, n):
     """One-form matrix of the weight-n graded piece, entry by entry."""
     return [[w_element(e.weight_part(n)) for e in row] for row in V.rows]
 
 
 def w_closed_form(V, n):
-    """(1/n!) sum over k+l=n-1 of (-1)^k binom(n-1,k) Omega^k omega Omega^l."""
+    """(1/n!) sum over k+l=n-1 of (-1)^k binom(n-1,k) Omega^k omega Omega^l,
+    the paper's closed form of ``w_of_V``; the forms suite checks that the
+    two agree."""
     om = omega_matrix(V)
     omf = omega_form_matrix(V)
     size = V.size()
@@ -273,23 +245,11 @@ def w_closed_form(V, n):
         pows.append(matmul(pows[-1], om))
     acc = None
     for k in range(n):
-        l = n - 1 - k
-        term = matmul(matmul(pows[k], omf, mul=lambda p, f: f.scale(p)),
-                      pows[l], mul=lambda f, p: f.scale(p))
+        term = matmul(matmul(pows[k], omf), pows[n - 1 - k])
         coeff = Fraction((-1) ** k * math.comb(n - 1, k), math.factorial(n))
         term = mat_scale(term, coeff)
         acc = term if acc is None else mat_add(acc, term)
     return acc
-
-
-def w_of_V(V, n):
-    """Both routes to the weight-n one-form matrix; they must agree."""
-    direct = w_entrywise(V, n)
-    closed = w_closed_form(V, n)
-    if not mat_eq(direct, closed):
-        raise ValueError(
-            "one-form routes disagree on %s at weight %d" % (V.nvec, n))
-    return direct
 
 
 def omega_hat(V):
@@ -337,9 +297,7 @@ def chain_map_ok(V, max_weight=None):
     for n in range(1, top + 1):
         acc = [[f.exterior_d() for f in row] for row in wmats[n]]
         for p in range(1, n):
-            prod = matmul(wmats[p], wmats[n - p],
-                          mul=lambda a, b: a.wedge(b))
-            acc = mat_add(acc, prod)
+            acc = mat_add(acc, matmul(wmats[p], wmats[n - p]))
         if not mat_is_zero(acc):
             return False
     return True
@@ -352,16 +310,12 @@ def curvature_identity_ok(V):
     omf = omega_form_matrix(V)
     oh = omega_hat(V)
     lhs = mat_add([[f.exterior_d() for f in row] for row in oh],
-                  mat_scale(matmul(oh, oh, mul=lambda a, b: a.wedge(b)),
-                            Fraction(-1)))
+                  mat_scale(matmul(oh, oh), Fraction(-1)))
     pone, pzero = Poly.one(), Poly.zero()
     gm = nilpotent_exp(om, pone, pzero, negate=True)
     gp = nilpotent_exp(om, pone, pzero, negate=False)
-    curv = matmul(omf, omf, mul=lambda a, b: a.wedge(b))
-    rhs = mat_scale(matmul(matmul(gm, curv, mul=lambda p, f: f.scale(p)),
-                           gp, mul=lambda f, p: f.scale(p)),
-                    Fraction(-1))
-    return mat_eq(lhs, rhs)
+    rhs = mat_scale(matmul(matmul(gm, matmul(omf, omf)), gp), Fraction(-1))
+    return lhs == rhs
 
 
 def recurrence_ok(V):
@@ -369,13 +323,11 @@ def recurrence_ok(V):
     om = omega_matrix(V)
     for n in range(1, sum(V.nvec)):
         wn = mat_scale(w_of_V(V, n), Fraction(math.factorial(n)))
-        bracket = mat_add(
-            matmul(wn, om, mul=lambda f, p: f.scale(p)),
-            mat_scale(matmul(om, wn, mul=lambda p, f: f.scale(p)),
-                      Fraction(-1)))
+        bracket = mat_add(matmul(wn, om),
+                          mat_scale(matmul(om, wn), Fraction(-1)))
         wn1 = mat_scale(w_of_V(V, n + 1),
                         Fraction(math.factorial(n + 1)))
-        if not mat_eq(wn1, bracket):
+        if wn1 != bracket:
             return False
     return True
 
@@ -393,6 +345,6 @@ def corollary_form_ok(nvec):
     size = V.size()
     acc = Form(1)
     for r in range(size):
-        acc = acc + wv[i][r].scale(om[r][j]) - om[i][r] * wv[r][j]
+        acc = acc + wv[i][r] * om[r][j] - om[i][r] * wv[r][j]
     want = w_element(gen_elem(vector_to_generator(tuple(nvec))))
-    return acc == want.scale(Fraction(n))
+    return acc == want * n

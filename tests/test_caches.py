@@ -9,7 +9,7 @@ import pytest
 
 import lihopf
 from lihopf import clear_caches
-from lihopf.algebra import H, HBAR, gen_elem, li
+from lihopf.algebra import H, gen_elem, li
 from lihopf.coproduct import inv_generator
 from lihopf.iterint import (ONE, ZERO, IGenerator, InvProduct,
                             canonical_symbol, phi)
@@ -45,8 +45,6 @@ def test_errors_are_not_cached():
     for _ in range(2):
         with pytest.raises(ValueError):
             phi(g)
-        with pytest.raises(ValueError):
-            build_V((1, 2), HBAR, closed=False)
 
 
 def test_symbol_never_reaches_the_coproduct():

@@ -13,7 +13,7 @@ from lihopf.forms import Form, Poly
 from lihopf.iterint import ONE, ZERO, IElement, IGenerator, InvProduct, ITensor
 from lihopf.lincomb import LinComb, as_fraction
 from lihopf.series import TruncatedSeries
-from lihopf.tensor import Tensor, WordSum, u_, uv_key, v_
+from lihopf.tensor import Tensor, WordSum, u_, v_
 
 COEFFS = st.fractions(min_value=-3, max_value=3, max_denominator=4)
 GENS = [log(1), log(2), li((1, 2), (1,)), li((1, 2, 3), (2, 1))]
@@ -39,7 +39,7 @@ TENSORS = _combos(st.tuples(_mons(GENS), _mons(GENS)),
                   lambda t: Tensor((H, H), t))
 WORDS = _combos(st.lists(st.sampled_from(LETTERS), max_size=3).map(tuple),
                 WordSum)
-POLYS = _combos(_mons(LETTERS, uv_key), Poly)
+POLYS = _combos(_mons(LETTERS), Poly)
 FORMS = st.dictionaries(st.sampled_from([(s,) for s in LETTERS]), POLYS,
                         max_size=3).map(lambda t: Form(1, t))
 I_MONS = _mons(IGENS, lambda g: g.key())
@@ -85,10 +85,7 @@ def test_no_stored_coefficient_is_zero(name):
     @settings(max_examples=40, deadline=None)
     @given(combos, combos, COEFFS)
     def check(a, b, c):
-        results = [a, b, a + b, a - b, b - a, -a, a * c, a * 0]
-        if not isinstance(a, Form):
-            results.append(a * b)
-        for x in results:
+        for x in (a, b, a + b, a - b, b - a, -a, a * c, a * 0, a * b):
             assert _no_zero_coefficient(x), x
 
     check()
@@ -111,9 +108,8 @@ def test_int_and_fraction_coefficients_give_equal_results(name):
         fa, fb = _raw_fractions(a), _raw_fractions(b)
         pairs = [(a + b, fa + fb), (a - b, fa - fb), (-a, -fa),
                  (a.scale(n), fa.scale(Fraction(n))),
-                 (a * n, fa * Fraction(n)), (a + a, fa + a)]
-        if not isinstance(a, Form):
-            pairs.append((a * b, fa * fb))
+                 (a * n, fa * Fraction(n)), (a + a, fa + a),
+                 (a * b, fa * fb)]
         for x, y in pairs:
             assert x == y and y == x
             if isinstance(x, Element):
@@ -122,6 +118,13 @@ def test_int_and_fraction_coefficients_give_equal_results(name):
                 assert str(x) == str(y)
 
     check()
+
+
+@settings(max_examples=40, deadline=None)
+@given(FORMS, FORMS, POLYS)
+def test_form_product_is_the_wedge_and_a_poly_scales(f, g, p):
+    assert f * g == f.wedge(g)
+    assert p * f == f * p == f.scale(p)
 
 
 def test_equality_depends_on_shape():

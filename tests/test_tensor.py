@@ -19,7 +19,6 @@ from lihopf.tensor import (
     shuffle_words,
     symbol,
     u_,
-    uv_key,
     v_,
     weight_one_letters,
 )
@@ -177,9 +176,9 @@ def test_letter_generator_inverts_weight_one_letters():
         assert weight_one_letters(g) == {sym: c}, sym
 
 
-def test_uv_key_orders_u_before_v():
+def test_letters_sort_u_before_v():
     syms = [v_(1, 2), u_(2), v_(1, 1), u_(1)]
-    assert sorted(syms, key=uv_key) == [u_(1), u_(2), v_(1, 1), v_(1, 2)]
+    assert sorted(syms) == [u_(1), u_(2), v_(1, 1), v_(1, 2)]
 
 
 def test_shuffle_small():

@@ -1,9 +1,12 @@
+import importlib
 import itertools
 import math
 from fractions import Fraction as F
 
 import pytest
+from click.testing import CliRunner
 
+from lihopf import cli
 from lihopf.algebra import (H, HBAR, Element, expand_log, gen_elem, li, log)
 from lihopf.coproduct import reduced_coproduct
 from lihopf.forms import (Form, Poly, point_residual, poly_to_element,
@@ -15,7 +18,9 @@ from lihopf.variation import (VariationMatrix, antipode_ok, build_V,
                               curvature_identity_ok, derivation_ok,
                               enumerate_keys, hat_derivation_ok, omega_hat,
                               omega_form_matrix, omega_matrix, recurrence_ok,
-                              v_hat, w_of_V)
+                              v_hat, w_closed_form, w_of_V)
+
+variation = importlib.import_module("lihopf.variation")
 
 u1, u2 = u_(1), u_(2)
 v1, v2, v12 = v_(1, 1), v_(2, 2), v_(1, 2)
@@ -46,16 +51,14 @@ def test_enumerate_keys_literals():
 
 
 def test_key_closure_needed_for_one_two():
-    with pytest.raises(ValueError):
-        build_V((1, 2), HBAR, closed=False)
     V = build_V((1, 2), HBAR)
+    assert V.keys != tuple(enumerate_keys((1, 2)))
     assert V.keys == ((), (0, 1), (1, 0), (0, 2), (1, 1), (2, 0), (1, 2))
 
 
 def test_literal_keys_closed_elsewhere():
     for nv in [(2,), (3,), (1, 1), (2, 1), (1, 1, 1)]:
-        V = build_V(nv, HBAR, closed=False)
-        assert V.keys == tuple(enumerate_keys(nv))
+        assert build_V(nv, HBAR).keys == tuple(enumerate_keys(nv))
 
 
 def test_block_boundaries():
@@ -251,11 +254,29 @@ def test_derivation_identity():
 
 
 def test_w_dual_route_and_chain_map():
-    for nv in [(3,), (2, 1), (1, 2)]:
+    for nv in [(2,), (3,), (4,), (5,), (1, 1), (2, 1), (1, 2), (1, 1, 1)]:
         V = build_V(nv, H)
         for n in range(1, sum(nv) + 1):
-            assert w_of_V(V, n) is not None
-        assert chain_map_ok(V), nv
+            assert w_of_V(V, n) == w_closed_form(V, n), (nv, n)
+    for nv in [(3,), (2, 1), (1, 2)]:
+        assert chain_map_ok(build_V(nv, H)), nv
+
+
+def test_one_forms_of_V_never_need_the_closed_form(monkeypatch):
+    # w_of_V is the entrywise route; the closed form is only a check
+    def refuse(V, n):
+        raise AssertionError("w_closed_form called")
+
+    monkeypatch.setattr(variation, "w_closed_form", refuse)
+    V = build_V((2, 1), H)
+    assert omega_hat(V)
+    assert chain_map_ok(V)
+    assert recurrence_ok(V)
+    assert corollary_form_ok((2, 1))
+    for what in ("wV", "omegahat"):
+        res = CliRunner().invoke(cli.main, ["varmatrix", "--weights", "2,1",
+                                            "--what", what])
+        assert res.exit_code == 0, (what, res.output, res.exception)
 
 
 def test_hat_connection_laws():
