@@ -8,7 +8,6 @@ standard error.  Exit status: 0 on success or an all-pass report, 1
 when a verification suite fails, 2 on usage errors.
 """
 
-import json
 import sys
 
 import click
@@ -20,6 +19,7 @@ from .coproduct import inv_element
 from .expr import (
     ExprError,
     blocks_document,
+    json_text,
     latex_matrix,
     matrix_document,
     parse,
@@ -50,15 +50,21 @@ def _parse_expr(text, sort):
         raise click.UsageError(str(exc))
 
 
+def _echo(text):
+    # naming the stream skips click's per-stream cache, which would keep
+    # every redirected sys.stdout (and all its output) alive
+    click.echo(text, file=sys.stdout)
+
+
 def _emit_json(doc):
-    click.echo(json.dumps(doc, indent=2, sort_keys=True))
+    _echo(json_text(doc))
 
 
 def _emit(x, fmt):
     if fmt == "json":
         _emit_json(render(x, fmt))
     else:
-        click.echo(render(x, fmt))
+        _echo(render(x, fmt))
 
 
 @click.group()
@@ -150,7 +156,7 @@ def varmatrix_cmd(weights, what, sort_name, fmt):
         if fmt == "json":
             _emit_json(doc)
         else:
-            click.echo(" | ".join(str(b) for b in doc["boundaries"]))
+            _echo(" | ".join(str(b) for b in doc["boundaries"]))
         return
     if what == "V":
         rows = V.rows
@@ -170,10 +176,10 @@ def varmatrix_cmd(weights, what, sort_name, fmt):
     if fmt == "json":
         _emit_json(matrix_document(what, nvec, sort_name, V.keys, cells))
     elif fmt == "latex":
-        click.echo(latex_matrix(cells))
+        _echo(latex_matrix(cells))
     else:
         for row in cells:
-            click.echo(" | ".join(row))
+            _echo(" | ".join(row))
 
 
 @main.command("verify")
@@ -205,18 +211,18 @@ def verify_cmd(suite_name, max_weight, max_depth, seed, fmt):
     for name in names:
         click.echo("running %s: %s" % (name,
                                        verification.suite_description(name)),
-                   err=True)
+                   file=sys.stderr)
         rep = verification.run_suite(name, max_weight=max_weight,
                                      max_depth=max_depth, seed=seed)
-        click.echo(rep.summary(), err=True)
+        click.echo(rep.summary(), file=sys.stderr)
         reports.append(rep)
     if fmt == "json":
         _emit_json(report_document(reports))
     else:
         for rep in reports:
-            click.echo(rep.summary())
+            _echo(rep.summary())
             for failure in rep.failures:
-                click.echo("    " + failure)
+                _echo("    " + failure)
     if not all(rep.passed for rep in reports):
         sys.exit(1)
 

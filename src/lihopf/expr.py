@@ -13,11 +13,15 @@ The text grammar round-trips with ``str(element)``:
 a JSON document (``json``) or a string (``latex``, ``text``).  JSON
 documents follow the shipped schema (document.schema.json); LaTeX
 output mirrors the bracket notation used throughout the package.  In
-every format a constant term prints as its bare rational.
+every format a constant term prints as its bare rational.  ``json_text``
+writes a JSON document as ``json.dumps(doc, indent=2, sort_keys=True)``
+would.
 """
 
+import json
 import re
 from fractions import Fraction
+from json.encoder import encode_basestring_ascii as _json_str
 
 from .algebra import (H, LOG, Element, gen_elem, li, log, monomial_str,
                       monomial_weight)
@@ -467,3 +471,35 @@ def report_document(reports):
                         "failures": list(r.failures),
                         "seconds": r.seconds} for r in reports],
             "passed": all(r.passed for r in reports)}
+
+
+def json_text(doc, pad="\n"):
+    """``json.dumps(doc, indent=2, sort_keys=True)``, byte for byte (so
+    ASCII-only), for a document whose dict keys are strings.  ``json``
+    indents with its pure-Python encoder; this writes each container
+    bottom-up as its bracket, its children joined by a comma and a new
+    line, and its closing bracket on ``pad``, the new line and indent of
+    the line the container starts on.  A leaf other than a str, int or
+    bool (None, the float seconds of a report) is written by
+    ``json.dumps``."""
+    cls = doc.__class__
+    if cls is str:
+        return _json_str(doc)
+    if cls is int:
+        return int.__repr__(doc)
+    if isinstance(doc, dict):
+        if not doc:
+            return "{}"
+        inner = pad + "  "
+        return "{" + inner + ("," + inner).join([
+            _json_str(k) + ": " + json_text(doc[k], inner)
+            for k in sorted(doc)]) + pad + "}"
+    if isinstance(doc, (list, tuple)):
+        if not doc:
+            return "[]"
+        inner = pad + "  "
+        return "[" + inner + ("," + inner).join([
+            json_text(x, inner) for x in doc]) + pad + "]"
+    if cls is bool:
+        return "true" if doc else "false"
+    return json.dumps(doc)

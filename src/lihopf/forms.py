@@ -19,9 +19,10 @@ import itertools
 import math
 import random
 from fractions import Fraction
+from types import MappingProxyType
 
 from .algebra import Element, H
-from .lincomb import LinComb, collect, extend
+from .lincomb import LinComb, collect, extend, linear, memo
 from .tensor import (WordSum, letter_generator, symbol, u_, v_,
                      weight_one_letters)
 
@@ -188,6 +189,11 @@ class Form(LinComb):
             total += coeff * det
         return total
 
+    def frozen(self):
+        """A copy whose terms and Poly coefficients cannot be changed."""
+        return self._new(MappingProxyType(
+            {basis: p.frozen() for basis, p in self.terms.items()}))
+
     def __repr__(self):
         if not self.terms:
             return "<form 0>"
@@ -238,9 +244,17 @@ def eta_tensor(ws):
     return Form(1)._new(collect(pieces()))
 
 
+@memo
+def _w_monomial(mon):
+    return w_tensor(symbol(Element.from_monomial(mon, H))).frozen()
+
+
 def w_element(e):
-    """The one-form of an Element (via its symbol); kills all products."""
-    return w_tensor(symbol(e))
+    """The one-form of an Element (via its symbol); kills all products.
+    Linear over the monomials of e, whose one-forms are memoized."""
+    if e.sort != H:
+        raise ValueError("the symbol is defined on the plain sort only")
+    return linear(e, _w_monomial, Form(1))
 
 
 # ---------------------------------------------------------------------------

@@ -11,6 +11,7 @@ import lihopf
 from lihopf import clear_caches
 from lihopf.algebra import H, gen_elem, li
 from lihopf.coproduct import inv_generator
+from lihopf.forms import w_element
 from lihopf.iterint import (ONE, ZERO, IGenerator, InvProduct,
                             canonical_symbol, phi)
 from lihopf.lincomb import MEMOS
@@ -22,6 +23,7 @@ def _warm():
     return (inv_generator(li((1, 2, 3), (1, 1), inverted=True)),
             build_V((2, 1), H).rows,
             symbol(gen_elem(li((1, 2, 3), (2, 1)), H)),
+            w_element(gen_elem(li((1, 2, 3), (1, 1)), H)),
             phi(canonical_symbol((1, 2, 3), (1, 1))))
 
 
@@ -29,9 +31,11 @@ def test_clear_caches_empties_every_memo():
     memos = {m.__wrapped__.__qualname__: m for m in MEMOS}
     assert {"_coproduct_bar_generator", "_inv_series_on", "inv_generator",
             "_antipode_generator", "shuffle_words", "_pi_word",
-            "_symbol_monomial", "_build_V", "phi"} <= set(memos)
+            "_symbol_monomial", "_w_monomial", "_build_V",
+            "phi"} <= set(memos)
     warm = _warm()
-    for name in ("inv_generator", "_build_V", "_symbol_monomial", "phi"):
+    for name in ("inv_generator", "_build_V", "_symbol_monomial",
+                 "_w_monomial", "phi"):
         assert memos[name].cache_info().currsize, name
     clear_caches()
     assert [m.cache_info().currsize for m in MEMOS] == [0] * len(MEMOS)

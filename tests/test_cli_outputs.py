@@ -6,22 +6,28 @@ perfbench/digests.json.  Outputs the catalog does not cover are pinned
 here as sha256 values of the exact text: varmatrix latex/text for the
 gauge-lifted pair and the blocks, the structural suite's text report,
 and one verification failure line per compound operand type.  A
-constant term prints as its bare rational in every format.
+constant term prints as its bare rational in every format.  The digests
+hash parsed JSON, so the JSON layout (``json.dumps`` with ``indent=2``
+and ``sort_keys=True``) is checked on the raw text.
 """
 
 import contextlib
+import gc
 import hashlib
 import importlib.util
 import io
+import json
 import os
 import re
+import weakref
 from fractions import Fraction
 
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from lihopf import cli
 from lihopf.coproduct import coproduct
-from lihopf.expr import parse, render, text_form, text_poly
+from lihopf.expr import json_text, parse, render, text_form, text_poly
 from lihopf.forms import Form, Poly, w_element
 from lihopf.tensor import symbol, u_, v_
 from lihopf.verify import Report
@@ -59,6 +65,54 @@ def test_cli_catalog_matches_benchmark_digests():
            if wl.digest(wl.cli_output_doc(args, run_cli(args)))
            != want[wl.request_key(args)]]
     assert bad == []
+
+
+def _json_requests():
+    return [args for args in _workloads().cli_catalog()
+            if args[args.index("--format") + 1] == "json"] + [
+        ["verify", "--suite", "structural", "--format", "json"]]
+
+
+def test_json_outputs_have_the_json_dumps_layout():
+    # the structural report carries the float "seconds" of each suite
+    requests = _json_requests()
+    assert len(requests) > 50
+    bad = [args for args in requests
+           if (text := run_cli(args)) != json.dumps(
+               json.loads(text), indent=2, sort_keys=True) + "\n"]
+    assert bad == []
+
+
+_CHARS = st.one_of(st.sampled_from('"\\/\b\f\n\r\t\x00\x1f\x7f'),
+                   st.characters())
+_JSON = st.recursive(
+    st.none() | st.booleans() | st.integers() | st.text(_CHARS)
+    | st.floats(allow_nan=False, allow_infinity=False),
+    lambda children: st.lists(children, max_size=4)
+    | st.dictionaries(st.text(_CHARS, max_size=4), children, max_size=4),
+    max_leaves=24)
+
+
+@settings(max_examples=300, deadline=None)
+@given(_JSON)
+def test_json_text_is_json_dumps_indented_and_sorted(doc):
+    assert json_text(doc) == json.dumps(doc, indent=2, sort_keys=True)
+
+
+@pytest.mark.parametrize("args", [
+    ["symbol", "Li[1,1](1,2,3)"],
+    ["form", "Li[2,1](1,2,3)", "--format", "text"],
+    ["verify", "--suite", "golden"],  # progress lines go to stderr
+])
+def test_in_process_calls_keep_no_output_alive(args):
+    out, err = io.StringIO(), io.StringIO()
+    with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
+        cli.main(args=args, standalone_mode=False, prog_name="lihopf")
+    assert out.getvalue()
+    refs = [weakref.ref(out), weakref.ref(err)]
+    del out, err
+    gc.collect()
+    assert [ref() for ref in refs] == [None, None]
 
 
 # varmatrix --weights 2,1 --what WHAT --format FMT

@@ -7,12 +7,14 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from lihopf.algebra import H, apply_contraction, gen_elem, li, log
+from lihopf import clear_caches, forms
+from lihopf.algebra import (H, HBAR, Element, apply_contraction, gen_elem, li,
+                            log)
 from lihopf.forms import (Form, Poly, all_letters, element_to_poly, eta_tensor,
                           point_residual, poly_to_element, pullback_form,
                           pullback_poly, sample_point, tangent_basis,
                           w_element, w_tensor)
-from lihopf.tensor import WordSum, project_pi, u_, v_
+from lihopf.tensor import WordSum, project_pi, symbol, u_, v_
 
 u1, u2, u3 = u_(1), u_(2), u_(3)
 v11, v12, v22 = v_(1, 1), v_(1, 2), v_(2, 2)
@@ -159,6 +161,50 @@ def test_w_kills_products():
         a = gen_elem(rng.choice(gens))
         b = gen_elem(rng.choice(gens))
         assert w_element(a * b).is_zero()
+
+
+def test_w_of_a_product_goes_through_its_symbol(monkeypatch):
+    # the memo keeps the symbol route: a product's nonzero symbol is
+    # computed and w kills it, so "w kills the product" stays a check
+    seen = []
+
+    def spy(e):
+        seen.append(e)
+        return symbol(e)
+
+    monkeypatch.setattr(forms, "symbol", spy)
+    clear_caches()
+    a, b = gen_elem(li((1, 2), (2,))), gen_elem(li((1, 2, 3), (1, 1)))
+    assert w_element(a * b).is_zero()
+    assert seen == [a * b]
+    assert not symbol(a * b).is_zero()
+    clear_caches()
+
+
+def test_w_element_hands_out_copies_of_its_memo():
+    e = gen_elem(li((1, 2, 3), (2, 1)))
+    want = w_tensor(symbol(e))
+    got = w_element(e)
+    assert got == want
+    basis, p = next(iter(got.terms.items()))
+    p.terms[next(iter(p.terms))] += 7
+    got.terms[basis] = Poly.one()
+    got.terms[(u_(9),)] = Poly.one()
+    assert w_element(e) == want
+    cached = forms._w_monomial((li((1, 2, 3), (2, 1)),))
+    p = next(iter(cached.terms.values()))
+    with pytest.raises(TypeError):
+        cached.terms[(u_(9),)] = Poly.one()
+    with pytest.raises(TypeError):
+        p.terms[()] = 1
+
+
+def test_w_element_is_defined_on_the_plain_sort_only():
+    for e in [gen_elem(li((1, 2), (2,), inverted=True)),
+              Element.from_generator(li((1, 2), (2,)), HBAR)]:
+        with pytest.raises(ValueError,
+                           match="the symbol is defined on the plain sort"):
+            w_element(e)
 
 
 def test_w_vanishes_on_empty_word():
