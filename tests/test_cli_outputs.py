@@ -67,15 +67,11 @@ def test_cli_catalog_matches_benchmark_digests():
     assert bad == []
 
 
-def _json_requests():
-    return [args for args in _workloads().cli_catalog()
-            if args[args.index("--format") + 1] == "json"] + [
-        ["verify", "--suite", "structural", "--format", "json"]]
-
-
 def test_json_outputs_have_the_json_dumps_layout():
     # the structural report carries the float "seconds" of each suite
-    requests = _json_requests()
+    requests = [args for args in _workloads().cli_catalog()
+                if args[args.index("--format") + 1] == "json"] + [
+        ["verify", "--suite", "structural", "--format", "json"]]
     assert len(requests) > 50
     bad = [args for args in requests
            if (text := run_cli(args)) != json.dumps(
