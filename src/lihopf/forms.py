@@ -21,14 +21,10 @@ import random
 from fractions import Fraction
 from types import MappingProxyType
 
-from .algebra import Element, H
+from .algebra import Element, H, mul_monomials
 from .lincomb import LinComb, collect, extend, linear, memo
 from .tensor import (WordSum, letter_generator, symbol, u_, v_,
                      weight_one_letters)
-
-
-def _poly_key(m1, m2):
-    return tuple(sorted(m1 + m2))
 
 
 class Poly(LinComb):
@@ -36,7 +32,7 @@ class Poly(LinComb):
 
     __slots__ = ()
 
-    _mul_key = staticmethod(_poly_key)
+    _mul_key = staticmethod(mul_monomials)
 
     def __init__(self, terms=None):
         self._init_terms(terms)
@@ -318,12 +314,6 @@ def poly_to_element(p, sort=H):
 
 # ---------------------------------------------------------------------------
 # numeric layer: letters as actual logarithms
-
-def all_letters(dim):
-    syms = [u_(r) for r in range(1, dim + 1)]
-    syms += [v_(i, j) for i in range(1, dim + 1) for j in range(i, dim + 1)]
-    return syms
-
 
 def sample_point(dim, seed=0):
     """Random letter values satisfying exp(sum u) + exp(v) = 1 exactly

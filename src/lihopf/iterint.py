@@ -1,8 +1,10 @@
 """Iterated integrals over marked points, and their evaluation.
 
 Points on the integration line are 0, 1, and inverse products
-1/(x_i * ... * x_j).  The free commutative algebra on the symbols
-I(a_0; a_1 ... a_m; a_{m+1}) carries the subsequence coproduct; the
+1/(x_i * ... * x_j).  Points and the symbols I(a_0; a_1 ... a_m; a_{m+1})
+are named tuples, so they are hashed, compared and sorted as tuples; a
+monomial of symbols is a sorted tuple of them, as for brackets.  The free
+commutative algebra on the symbols carries the subsequence coproduct; the
 evaluation map phi sends each polylogarithmic symbol into the inverted
 bracket algebra.  phi is computed with the same truncated-series engine
 as the bracket coproduct: interior zeros become powers of a formal
@@ -15,73 +17,56 @@ a split over the basepoint when it does neither).
 from __future__ import annotations
 
 import itertools
-from dataclasses import dataclass
-from typing import Optional, Union
+from typing import NamedTuple, Optional
 
-from .algebra import HBAR, Element, expand_log
+from .algebra import HBAR, Element, expand_log, mul_monomials
 from .coproduct import _bracket_series, _normalize_block, coproduct_bar
 from .lincomb import LinComb, extend, memo
 from .series import TruncatedSeries
-from .tensor import Tensor
+from .tensor import Tensor, _slotwise
 
 
 # ---------------------------------------------------------------------------
 # marked points
 
-@dataclass(frozen=True)
-class Zero:
-    def __repr__(self) -> str:
-        return "0"
-
-
-@dataclass(frozen=True)
-class One:
-    def __repr__(self) -> str:
-        return "1"
-
-
-@dataclass(frozen=True)
-class InvProduct:
-    """The point 1/(x_lo * ... * x_hi)."""
-    lo: int
-    hi: int
-
-    def __post_init__(self) -> None:
-        if not (1 <= self.lo <= self.hi):
-            raise ValueError(f"bad inverse product bounds ({self.lo}, {self.hi})")
+class Point(NamedTuple):
+    """A marked point: kind 0 is the point 0, kind 1 the point 1, kind 2
+    the point 1/(x_lo * ... * x_hi)."""
+    kind: int
+    lo: int = 0
+    hi: int = 0
 
     def __repr__(self) -> str:
+        if self.kind < 2:
+            return str(self.kind)
         if self.lo == self.hi:
             return f"1/x{self.lo}"
         return f"1/(x{self.lo}..x{self.hi})"
 
 
-SPoint = Union[Zero, One, InvProduct]
-
-ZERO = Zero()
-ONE = One()
+ZERO = Point(0)
+ONE = Point(1)
 
 
-def _point_key(p: SPoint) -> tuple:
-    if isinstance(p, Zero):
-        return (0,)
-    if isinstance(p, One):
-        return (1,)
-    return (2, p.lo, p.hi)
+def InvProduct(lo: int, hi: int) -> Point:
+    """The point 1/(x_lo * ... * x_hi)."""
+    if not (1 <= lo <= hi):
+        raise ValueError(f"bad inverse product bounds ({lo}, {hi})")
+    return Point(2, lo, hi)
 
 
-def _interval(p: SPoint) -> Optional[tuple[int, int]]:
+def _interval(p: Point) -> Optional[tuple[int, int]]:
     """Half-open letter interval of 1/point; None for the point 1."""
-    if isinstance(p, One):
+    if p == ONE:
         return None
-    if isinstance(p, InvProduct):
-        return (p.lo, p.hi + 1)
-    raise ValueError("the point 0 has no letter interval")
+    if p == ZERO:
+        raise ValueError("the point 0 has no letter interval")
+    return (p.lo, p.hi + 1)
 
 
-def _ratio(p: SPoint, q: SPoint):
+def _ratio(p: Point, q: Point):
     """q/p as a letter window: (lo, hi, inverted), 'unit', or None."""
-    if isinstance(p, Zero) or isinstance(q, Zero):
+    if p == ZERO or q == ZERO:
         return None
     wp, wq = _interval(p), _interval(q)
     if wp == wq:
@@ -105,23 +90,23 @@ def _ratio(p: SPoint, q: SPoint):
     return None
 
 
-def _log_of(p: SPoint) -> Element:
+def _log_of(p: Point) -> Element:
     """[p]_0 as an element (0 for the points 0-adjacent cases never occur)."""
-    if isinstance(p, One):
+    if p == ONE:
         return Element.zero(HBAR)
-    if isinstance(p, InvProduct):
-        return expand_log(p.lo, p.hi + 1, HBAR, inverse=True)
-    raise ValueError("no logarithm at the point 0")
+    if p == ZERO:
+        raise ValueError("no logarithm at the point 0")
+    return expand_log(p.lo, p.hi + 1, HBAR, inverse=True)
 
 
 # ---------------------------------------------------------------------------
 # the symbols and their algebra
 
-@dataclass(frozen=True)
-class IGenerator:
-    start: SPoint
-    word: tuple[SPoint, ...]
-    end: SPoint
+class IGenerator(NamedTuple):
+    """The symbol I(start; word; end)."""
+    start: Point
+    word: tuple[Point, ...]
+    end: Point
 
     @property
     def weight(self) -> int:
@@ -129,34 +114,11 @@ class IGenerator:
 
     @property
     def depth(self) -> int:
-        return sum(1 for p in self.word if not isinstance(p, Zero))
-
-    def key(self) -> tuple:
-        return (self.weight, _point_key(self.start),
-                tuple(_point_key(p) for p in self.word),
-                _point_key(self.end))
-
-    def reversed(self) -> "IGenerator":
-        return IGenerator(self.end, self.word[::-1], self.start)
+        return sum(1 for p in self.word if p != ZERO)
 
     def __repr__(self) -> str:
         inner = ",".join(repr(p) for p in self.word)
         return f"I({self.start!r};{inner};{self.end!r})"
-
-
-IMonomial = tuple  # sorted tuple of IGenerator
-
-
-def _sort_mon(gens) -> IMonomial:
-    return tuple(sorted(gens, key=lambda g: g.key()))
-
-
-def _i_key(m1, m2):
-    return _sort_mon(m1 + m2)
-
-
-def _i_tensor_key(mm1, mm2):
-    return (_sort_mon(mm1[0] + mm2[0]), _sort_mon(mm1[1] + mm2[1]))
 
 
 class IElement(LinComb):
@@ -164,7 +126,7 @@ class IElement(LinComb):
 
     __slots__ = ()
 
-    _mul_key = staticmethod(_i_key)
+    _mul_key = staticmethod(mul_monomials)
 
     def __init__(self, terms=None):
         self._init_terms(terms)
@@ -194,7 +156,7 @@ class ITensor(LinComb):
 
     __slots__ = ()
 
-    _mul_key = staticmethod(_i_tensor_key)
+    _mul_key = staticmethod(_slotwise)
 
     def __init__(self, terms=None):
         self._init_terms(terms)
@@ -225,13 +187,8 @@ def i_coproduct_gen(g: IGenerator) -> ITensor:
         for keep in itertools.combinations(range(1, m + 1), k):
             left = IElement.of(
                 IGenerator(g.start, tuple(points[i] for i in keep), g.end))
-            bounds = (0,) + keep + (m + 1,)
-            right = IElement.unit()
-            for a, b in zip(bounds, bounds[1:]):
-                seg = tuple(points[a + 1:b])
-                if seg:
-                    right = right * IElement.of(
-                        IGenerator(points[a], seg, points[b]))
+            right = subsequence_entry(points, range(m + 2),
+                                      (0,) + keep + (m + 1,))
             out = out + ITensor.of(left, right)
     return out
 
@@ -263,8 +220,7 @@ def subsequence_entry(points, iseq, jseq) -> IElement:
     out = IElement.unit()
     for a, b in zip(jseq, jseq[1:]):
         seg = tuple(points[i] for i in iseq if a < i < b)
-        if seg:
-            out = out * IElement.of(IGenerator(points[a], seg, points[b]))
+        out = out * IElement.of(IGenerator(points[a], seg, points[b]))
     return out
 
 
@@ -293,9 +249,9 @@ def gamma_gen(g: IGenerator) -> IElement:
     out = IElement.zero()
     for q in range(g.weight + 1):
         head, tail = g.word[:q], g.word[q:]
-        if isinstance(g.start, Zero) and head:
+        if g.start == ZERO and head:
             continue
-        if isinstance(g.end, Zero) and tail:
+        if g.end == ZERO and tail:
             continue
         out = out + (IElement.of(IGenerator(g.start, head, ZERO))
                      * IElement.of(IGenerator(ZERO, tail, g.end)))
@@ -315,10 +271,10 @@ def is_polylogarithmic(g: IGenerator) -> bool:
     and ascending or all inverted and descending."""
     if not g.word:
         return True  # the unit symbol
-    chain = [p for p in g.word if not isinstance(p, Zero)]
-    if not isinstance(g.start, Zero):
+    chain = [p for p in g.word if p != ZERO]
+    if g.start != ZERO:
         chain = [g.start] + chain
-    if not isinstance(g.end, Zero):
+    if g.end != ZERO:
         chain = chain + [g.end]
     if len(chain) <= 1:
         return True
@@ -341,19 +297,19 @@ def _phi_series(start, letters, end, off, shape):
     d = len(letters)
     zero_series = TruncatedSeries(shape.nvars, shape.sort, shape.caps,
                                   shape.total_cap)
-    if isinstance(start, Zero) and isinstance(end, Zero):
+    if start == ZERO and end == ZERO:
         if d == 0:
             return TruncatedSeries.constant(1, shape.nvars, shape.sort,
                                             shape.caps, shape.total_cap)
         return zero_series
-    if isinstance(end, Zero):
+    if end == ZERO:
         inner_caps = tuple(shape.caps[off + d - r] for r in range(d + 1))
         inner = TruncatedSeries(d + 1, shape.sort, caps=inner_caps)
         rev = _phi_series(ZERO, letters[::-1], start, 0, inner)
         images = {r: [(off + d - r, -1)] for r in range(d + 1)}
         out = rev.substitute(images, shape.nvars, shape.caps, shape.total_cap)
         return out * (-1) ** d
-    if isinstance(start, Zero):
+    if start == ZERO:
         out = TruncatedSeries.constant(1, shape.nvars, shape.sort,
                                        shape.caps, shape.total_cap)
         if d:
@@ -395,7 +351,7 @@ def phi(g: IGenerator) -> Element:
     runs = [0]
     letters = []
     for p in g.word:
-        if isinstance(p, Zero):
+        if p == ZERO:
             runs[-1] += 1
         else:
             letters.append(p)

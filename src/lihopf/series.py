@@ -69,10 +69,6 @@ class TruncatedSeries(LinComb):
     # wraps them per class
     __mul__ = __rmul__ = LinComb.__mul__
 
-    def var_monomial(self, coeff, e):
-        """coeff * t^e as a series shaped like self."""
-        return self._like({tuple(e): coeff})
-
     def linear_form(self, pairs):
         """sum of c * t_v for (v, c) in pairs, as a series shaped like self."""
         terms = {}

@@ -24,7 +24,6 @@ from .algebra import (
     gen_elem,
     li,
     log,
-    monomial_weight,
     mul_monomials,
 )
 from .lincomb import LinComb, collect, linear, memo
@@ -62,16 +61,6 @@ class Tensor(LinComb):
     # kept in the class namespace: operator tracing (perfbench/tracer.py)
     # wraps them per class
     __mul__ = __rmul__ = LinComb.__mul__
-
-    def weight_profiles(self):
-        return sorted({tuple(monomial_weight(m) for m in mons)
-                       for mons in self.terms})
-
-    def component(self, profile):
-        """The piece whose slots have the given weights."""
-        profile = tuple(profile)
-        return self._new({mons: c for mons, c in self.terms.items()
-                          if tuple(monomial_weight(m) for m in mons) == profile})
 
     def map_slot(self, k, fn, sort=None):
         """Apply a linear map (given on monomials, returning Elements) in
@@ -169,9 +158,6 @@ class WordSum(LinComb):
     def append_letter(self, letter):
         return self._new({w + (letter,): c for w, c in self.terms.items()})
 
-    def prepend_letter(self, letter):
-        return self._new({(letter,) + w: c for w, c in self.terms.items()})
-
     def __repr__(self):
         if not self.terms:
             return "<words 0>"
@@ -196,11 +182,6 @@ def shuffle_words(w1, w2):
         k = (w2[0],) + w
         out[k] = out.get(k, 0) + m
     return MappingProxyType(out)
-
-
-def deconcatenate(word):
-    """All ways to cut the word in two, including the empty ends."""
-    return [(word[:k], word[k:]) for k in range(len(word) + 1)]
 
 
 # ---------------------------------------------------------------------------

@@ -15,7 +15,6 @@ from lihopf.iterint import (
     InvProduct,
     ONE,
     ZERO,
-    Zero,
     canonical_symbol,
     gamma,
     gamma_gen,
@@ -53,7 +52,27 @@ def test_weight_and_depth():
     g = ig(ZERO, (InvProduct(1, 2), ZERO, InvProduct(2, 2)), ONE)
     assert g.weight == 3
     assert g.depth == 2
-    assert g.reversed() == ig(ONE, (InvProduct(2, 2), ZERO, InvProduct(1, 2)), ZERO)
+
+
+def test_points_and_symbols_are_tuples():
+    points = [InvProduct(1, 2), ONE, InvProduct(1, 1), ZERO]
+    assert sorted(points) == [ZERO, ONE, InvProduct(1, 1), InvProduct(1, 2)]
+    syms = [ig(ONE, (ZERO,), InvProduct(2, 2)),
+            ig(ZERO, (InvProduct(1, 2), ZERO), ONE),
+            ig(ZERO, (InvProduct(1, 1),), ONE)]
+    assert sorted(syms) == [syms[2], syms[1], syms[0]]
+    for x in points + syms:
+        assert hash(x) == hash(tuple(x))
+    assert IElement.of(syms[0]) * IElement.of(syms[2]) == IElement(
+        {(syms[2], syms[0]): 1})
+
+
+def test_point_and_symbol_reprs():
+    assert [repr(p) for p in (ZERO, ONE, InvProduct(2, 2), InvProduct(1, 2))] \
+        == ["0", "1", "1/x2", "1/(x1..x2)"]
+    g = IGenerator(ZERO, (InvProduct(1, 2), ZERO, InvProduct(2, 2)), ONE)
+    assert repr(g) == "I(0;1/(x1..x2),0,1/x2;1)"
+    assert "%s" % (g,) == str(g) == repr(g)
 
 
 def test_empty_word_is_unit():
@@ -334,7 +353,7 @@ def _sweep(max_index, max_weight, max_depth):
                             for j in range(i, max_index + 1)]
     for wlen in range(1, max_weight + 1):
         for word in itertools.product(points, repeat=wlen):
-            if sum(1 for p in word if not isinstance(p, Zero)) > max_depth:
+            if sum(1 for p in word if p != ZERO) > max_depth:
                 continue
             for a0 in points:
                 for end in points:

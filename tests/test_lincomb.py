@@ -29,9 +29,9 @@ def _combos(keys, make):
     return st.dictionaries(keys, COEFFS, max_size=4).map(make)
 
 
-def _mons(pool, key=None):
+def _mons(pool):
     return st.lists(st.sampled_from(pool), max_size=3).map(
-        lambda gs: tuple(sorted(gs, key=key)))
+        lambda gs: tuple(sorted(gs)))
 
 
 ELEMENTS = _combos(_mons(GENS), lambda t: Element(H, t))
@@ -42,7 +42,7 @@ WORDS = _combos(st.lists(st.sampled_from(LETTERS), max_size=3).map(tuple),
 POLYS = _combos(_mons(LETTERS), Poly)
 FORMS = st.dictionaries(st.sampled_from([(s,) for s in LETTERS]), POLYS,
                         max_size=3).map(lambda t: Form(1, t))
-I_MONS = _mons(IGENS, lambda g: g.key())
+I_MONS = _mons(IGENS)
 IELEMENTS = _combos(I_MONS, IElement)
 ITENSORS = _combos(st.tuples(I_MONS, I_MONS), ITensor)
 SERIES_CAPS = (2, 1)

@@ -90,10 +90,3 @@ def test_divide_var_detects_pole():
     s = one + one.linear_form([(0, 1)])
     with pytest.raises(ArithmeticError):
         s.divide_var(0)
-
-
-def test_var_monomial():
-    s = TruncatedSeries.constant(0, 1, H, caps=(4,))
-    m = s.var_monomial(Fraction(3, 2), (2,))
-    assert m.coefficient((2,)) == Element.constant(Fraction(3, 2), H)
-    assert m.var_monomial(1, (5,)).terms == {}   # beyond cap -> dropped

@@ -13,7 +13,6 @@ from lihopf.lincomb import linear
 from lihopf.tensor import (
     Tensor,
     WordSum,
-    deconcatenate,
     letter_generator,
     project_pi,
     shuffle_words,
@@ -59,12 +58,15 @@ def _symbol_monomial_via_coproduct(mon):
         return WordSum.unit()
     if n == 1:
         return WordSum({(sym,): c for sym, c in _letters_of_monomial(mon)})
-    t = coproduct(Element.from_monomial(mon, H)).component((1, n - 1))
+    t = coproduct(Element.from_monomial(mon, H))
     out = WordSum()
     for (ml, mr), c in t.terms.items():
+        if monomial_weight(ml) != 1:
+            continue
         tail = _symbol_monomial_via_coproduct(mr)
         for sym, cl in _letters_of_monomial(ml):
-            out = out + tail.prepend_letter(sym) * (c * cl)
+            out = out + WordSum({(sym,) + w: cw * c * cl
+                                 for w, cw in tail.terms.items()})
     return out
 
 
@@ -91,9 +93,11 @@ def _symbol_monomial_right(mon):
     elif n == 1:
         out = WordSum({(sym,): c for sym, c in weight_one_letters(mon[0]).items()})
     else:
-        t = coproduct(Element.from_monomial(mon, H)).component((n - 1, 1))
+        t = coproduct(Element.from_monomial(mon, H))
         out = WordSum()
         for (ml, mr), c in t.terms.items():
+            if monomial_weight(mr) != 1:
+                continue
             if len(mr) != 1:
                 raise ValueError("weight-one slot is not a single generator")
             head = _symbol_monomial_right(ml)
@@ -131,15 +135,6 @@ def test_tensor_slotwise_product():
     t1 = Tensor.of(a, one)
     t2 = Tensor.of(one, a)
     assert t1 * t2 == Tensor.of(a, a)
-
-
-def test_tensor_component_and_profiles():
-    a = E(li((1, 2), (2,)))
-    b = E(log(1))
-    t = Tensor.of(a, b) + Tensor.of(b, b)
-    assert t.weight_profiles() == [(1, 1), (2, 1)]
-    assert t.component((2, 1)) == Tensor.of(a, b)
-    assert t.component((5, 5)).is_zero()
 
 
 def test_tensor_map_and_expand_slot():
@@ -209,11 +204,6 @@ def test_shuffle_counts_multiplicities():
     a = u_(1)
     got = shuffle_words((a,), (a, a))
     assert got == {(a, a, a): 3}
-
-
-def test_deconcatenate():
-    w = (u_(1), u_(2))
-    assert deconcatenate(w) == [((), w), ((u_(1),), (u_(2),)), (w, ())]
 
 
 # --------------------------------------------------------------- projection
