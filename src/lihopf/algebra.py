@@ -30,6 +30,7 @@ integral Fraction produced by arithmetic equals and hashes like the int.
 """
 
 from fractions import Fraction
+from typing import NamedTuple
 
 from .lincomb import LinComb, extend
 
@@ -40,31 +41,28 @@ LOG = "log"
 LI = "li"
 
 
-class Generator:
-    """A single bracket generator.  Immutable and totally ordered.
+class _Bracket(NamedTuple):
+    kind: str
+    indices: tuple
+    weights: tuple = ()
+    inverted: bool = False
 
-    Generators are interned: constructing one returns the single instance
-    for its normalised data, so equality is identity and hashing is the
-    default identity hash, both computed in C.  The order compares the
-    data (``_key``), so every sort order is that of the data.  The table
-    of instances lives as long as the process: ``clear_caches`` does not
-    empty it, because a generator held across it must stay equal to one
-    made afterwards.
+
+class Generator(_Bracket):
+    """A single bracket generator: a named tuple of its normalised data.
+
+    Python hashes, compares and sorts generators as tuples, in C, so the
+    order of generators (and of the monomials built from them) is the
+    order of the data (kind, indices, weights, inverted).
     """
 
-    __slots__ = ("kind", "indices", "weights", "inverted", "_key")
-
-    _interned = {}
+    __slots__ = ()
 
     def __new__(cls, kind, indices, weights=(), inverted=False):
         if kind not in (LOG, LI):
             raise ValueError("unknown generator kind %r" % (kind,))
         indices = tuple(map(int, indices))
         weights = tuple(map(int, weights))
-        key = (kind, indices, weights, bool(inverted))
-        self = cls._interned.get(key)
-        if self is not None:
-            return self
         if kind == LOG:
             if len(indices) != 1 or weights or inverted:
                 raise ValueError("log generator takes a single index")
@@ -79,17 +77,13 @@ class Generator:
                 raise ValueError("indices must be positive")
             if any(n < 1 for n in weights):
                 raise ValueError("weights must be >= 1")
-        self = object.__new__(cls)
-        object.__setattr__(self, "kind", kind)
-        object.__setattr__(self, "indices", indices)
-        object.__setattr__(self, "weights", weights)
-        object.__setattr__(self, "inverted", key[3])
-        object.__setattr__(self, "_key", key)
-        cls._interned[key] = self
-        return self
+        return _Bracket.__new__(cls, kind, indices, weights, bool(inverted))
 
-    def __setattr__(self, name, value):
-        raise AttributeError("Generator is immutable")
+    @property
+    def _key(self):
+        # the benchmark tracer (perfbench/tracer.py) counts distinct
+        # inversion arguments by this key
+        return tuple(self)
 
     @property
     def weight(self):
@@ -98,18 +92,6 @@ class Generator:
     @property
     def depth(self):
         return 0 if self.kind == LOG else len(self.weights)
-
-    def windows(self):
-        """The letter windows (start, stop), in stored (ascending) order."""
-        if self.kind == LOG:
-            return ((self.indices[0], self.indices[0] + 1),)
-        return tuple(zip(self.indices, self.indices[1:]))
-
-    def __lt__(self, other):
-        return self._key < other._key
-
-    def __le__(self, other):
-        return self._key <= other._key
 
     def __repr__(self):
         return str(self)
@@ -155,6 +137,26 @@ def monomial_str(mon):
         parts.append(str(mon[i]) + ("^%d" % (j - i) if j - i > 1 else ""))
         i = j
     return " ".join(parts)
+
+
+def text_sum(items, body_of):
+    """A signed sum as text.  items: sorted (key, coeff); body_of(key) is
+    "" for the empty key, whose term prints as its bare rational."""
+    parts = []
+    for key, c in items:
+        mag = abs(c)
+        body = body_of(key)
+        if not body:
+            piece = str(mag)
+        elif mag == 1:
+            piece = body
+        else:
+            piece = "%s %s" % (mag, body)
+        if parts:
+            parts.append(("+ " if c > 0 else "- ") + piece)
+        else:
+            parts.append(piece if c > 0 else "-" + piece)
+    return " ".join(parts) if parts else "0"
 
 
 class Element(LinComb):
@@ -281,25 +283,8 @@ class Element(LinComb):
         return str(self)
 
     def __str__(self):
-        if not self.terms:
-            return "0"
-        items = sorted(self.terms.items(),
-                       key=lambda mc: (monomial_weight(mc[0]), mc[0]))
-        out = []
-        for mon, c in items:
-            mag = abs(c)
-            body = monomial_str(mon)
-            if mon == ():
-                piece = str(mag)
-            elif mag == 1:
-                piece = body
-            else:
-                piece = "%s %s" % (mag, body)
-            if not out:
-                out.append(piece if c > 0 else "-" + piece)
-            else:
-                out.append(("+ " if c > 0 else "- ") + piece)
-        return " ".join(out)
+        return text_sum(sorted(self.terms.items(), key=lambda mc: (
+            monomial_weight(mc[0]), mc[0])), monomial_str)
 
 
 def gen_elem(g, sort=None):

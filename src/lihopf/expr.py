@@ -24,7 +24,7 @@ from fractions import Fraction
 from json.encoder import encode_basestring_ascii as _json_str
 
 from .algebra import (H, LOG, Element, gen_elem, li, log, monomial_str,
-                      monomial_weight)
+                      monomial_weight, text_sum)
 from .forms import Form, Poly
 from .tensor import Tensor, WordSum
 
@@ -224,28 +224,8 @@ def _by_str(x):
     return sorted(x.terms.items(), key=lambda mc: str(mc[0]))
 
 
-def _text_sum(items, body_of):
-    """items: sorted (key, coeff); body_of(key) is "" for the empty key,
-    whose term prints as its bare rational."""
-    parts = []
-    for key, c in items:
-        mag = abs(c)
-        body = body_of(key)
-        if not body:
-            piece = str(mag)
-        elif mag == 1:
-            piece = body
-        else:
-            piece = "%s %s" % (mag, body)
-        if parts:
-            parts.append(("+ " if c > 0 else "- ") + piece)
-        else:
-            parts.append(piece if c > 0 else "-" + piece)
-    return " ".join(parts) if parts else "0"
-
-
 def _latex_sum(items, body_of):
-    """As _text_sum, in LaTeX."""
+    """As algebra.text_sum, in LaTeX."""
     parts = []
     for key, c in items:
         num, den = abs(c).numerator, c.denominator
@@ -383,17 +363,17 @@ def text_element(e):
 
 
 def text_tensor(t):
-    return _text_sum(_by_str(t), lambda mons: " (x) ".join(
+    return text_sum(_by_str(t), lambda mons: " (x) ".join(
         monomial_str(m) or "1" for m in mons))
 
 
 def text_words(ws):
-    return _text_sum(_by_str(ws), lambda word: " (x) ".join(
+    return text_sum(_by_str(ws), lambda word: " (x) ".join(
         _letter_name(s) for s in word))
 
 
 def text_poly(p):
-    return _text_sum(_by_degree(p), lambda mon: " ".join(
+    return text_sum(_by_degree(p), lambda mon: " ".join(
         _letter_name(s) for s in mon))
 
 

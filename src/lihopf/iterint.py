@@ -217,11 +217,11 @@ def subsequence_entry(points, iseq, jseq) -> IElement:
     iseq."""
     if not set(jseq) <= set(iseq):
         return IElement.zero()
-    out = IElement.unit()
-    for a, b in zip(jseq, jseq[1:]):
-        seg = tuple(points[i] for i in iseq if a < i < b)
-        out = out * IElement.of(IGenerator(points[a], seg, points[b]))
-    return out
+    # every segment symbol enters with coefficient 1, and an empty
+    # segment is the unit, so the product is one monomial
+    segs = (IGenerator(points[a], tuple(points[i] for i in iseq if a < i < b),
+                       points[b]) for a, b in zip(jseq, jseq[1:]))
+    return IElement({tuple(sorted(g for g in segs if g.word)): 1})
 
 
 def subsequence_comultiplicative_ok(points) -> bool:

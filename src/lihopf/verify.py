@@ -483,12 +483,12 @@ def _suite_coassoc(rep, max_weight=None, max_depth=None, seed=0):
     split_b = splitter(HBAR)
     for g in bracket_generators(mw, md, include_inverted=True):
         t = coproduct_bar(gen_elem(g, HBAR))
-        rep.check("extended coproduct coassociative at %s" % g,
+        rep.check("extended coproduct coassociative at %s" % (g,),
                   t.expand_slot(0, split_b) == t.expand_slot(1, split_b))
     split_h = splitter(H)
     for g in bracket_generators(mw, min(md, 2), include_inverted=False):
         t = coproduct_h(gen_elem(g, H))
-        rep.check("plain coproduct coassociative at %s" % g,
+        rep.check("plain coproduct coassociative at %s" % (g,),
                   t.expand_slot(0, split_h) == t.expand_slot(1, split_h))
 
 
@@ -511,7 +511,7 @@ def _suite_inv_morphism(rep, max_weight=None, max_depth=None, seed=0):
                .map_slot(0, inv_mon, sort=H)
                .map_slot(1, inv_mon, sort=H))
         rhs = coproduct_h(inv_element(e))
-        rep.check_eq("inversion morphism at %s" % g, lhs, rhs)
+        rep.check_eq("inversion morphism at %s" % (g,), lhs, rhs)
 
 
 # ---------------------------------------------------------------------------
@@ -601,7 +601,7 @@ def _suite_forms(rep, max_weight=None, max_depth=None, seed=0):
             wl = w_element(Element.from_monomial(lm, H))
             wr = w_element(Element.from_monomial(rm, H))
             rhs = rhs + wl.wedge(wr).scale(c)
-        rep.check_eq("generator chain map at %s" % g, lhs, rhs)
+        rep.check_eq("generator chain map at %s" % (g,), lhs, rhs)
 
 
 # ---------------------------------------------------------------------------
@@ -745,10 +745,10 @@ def _suite_structural(rep, max_weight=None, max_depth=None, seed=0):
                                                       e.sort)
 
     for g in bracket_generators(3, 2, include_inverted=False):
-        rep.check("antipode law at %s [H]" % g,
+        rep.check("antipode law at %s [H]" % (g,),
                   antipode_law_holds(gen_elem(g, H)))
     for g in bracket_generators(3, 2, include_inverted=True):
-        rep.check("antipode law at %s [Hbar]" % g,
+        rep.check("antipode law at %s [Hbar]" % (g,),
                   antipode_law_holds(gen_elem(g, HBAR)))
     prod = gen_elem(li((1, 2), (2,)), H) * gen_elem(li((2, 3), (1,)), H)
     rep.check("antipode law on a product", antipode_law_holds(prod))

@@ -76,11 +76,15 @@ def _empty_dict(node):
 
 
 def test_no_module_level_cache_dict():
-    # a module-level empty dict is how a hand-rolled cache starts; caches
-    # go through ``lincomb.memo`` so that ``clear_caches`` reaches them
+    # a module- or class-level empty dict is how a hand-rolled cache
+    # starts; caches go through ``lincomb.memo`` so that ``clear_caches``
+    # reaches them
     found = []
     for path in _sources():
-        for node in ast.parse(path.read_text()).body:
+        tree = ast.parse(path.read_text())
+        bodies = [tree.body] + [node.body for node in ast.walk(tree)
+                                if isinstance(node, ast.ClassDef)]
+        for node in (node for body in bodies for node in body):
             if isinstance(node, ast.Assign):
                 targets = node.targets
             elif isinstance(node, ast.AnnAssign) and node.value is not None:
