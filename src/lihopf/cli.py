@@ -185,9 +185,9 @@ def varmatrix_cmd(weights, what, sort_name, fmt):
 @main.command("verify")
 @click.option("--suite", "suite_name", default="all", show_default=True,
               metavar="NAME|all", help="One suite by name, or all of them.")
-@click.option("--max-weight", type=int, default=None,
+@click.option("--max-weight", type=click.IntRange(min=1), default=None,
               help="Override the default weight bound of a sweep.")
-@click.option("--max-depth", type=int, default=None,
+@click.option("--max-depth", type=click.IntRange(min=1), default=None,
               help="Override the default depth bound of a sweep.")
 @click.option("--seed", type=int, default=0, show_default=True,
               help="Seed for the randomized spot checks.")

@@ -92,20 +92,20 @@ def _normalize_block(block):
     return tuple(indices), [t for _, _, t in seq], inv
 
 
-def _bracket_series(shape, indices, targs, inverted, sort):
+def _bracket_series(shape, indices, targs, inverted):
     """The generating series of a bracket whose slot u carries the linear
     form targs[u]: sum over all weights m_u >= 1 of
     [indices]_{m} * prod targs[u]^(m_u - 1), truncated like ``shape``."""
-    one = TruncatedSeries.constant(1, shape.nvars, sort,
-                                   shape.caps, shape.total_cap)
+    one = shape.constant(1)
     if not targs:
         return one
     lfs = [one.linear_form(t) for t in targs]
-    out = [TruncatedSeries(shape.nvars, sort, shape.caps, shape.total_cap)]
+    out = [shape._like()]
 
     def rec(u, weights, acc):
         if u == len(targs):
-            out[0] = out[0] + acc * gen_elem(li(indices, weights, inverted), sort)
+            out[0] = out[0] + acc * gen_elem(li(indices, weights, inverted),
+                                             shape.sort)
             return
         cur = acc
         m = 1
@@ -146,7 +146,7 @@ def _coproduct_bar_generator(g):
 
     letters, caps = _display_letters(g)
     d = len(letters)
-    shape = TruncatedSeries(d, HBAR, caps=caps)
+    shape = TruncatedSeries(HBAR, caps)
     target = caps
     out = Tensor.zero((HBAR, HBAR))
 
@@ -157,7 +157,7 @@ def _coproduct_bar_generator(g):
             i_next = pairs[a + 1][0] if a + 1 < len(pairs) else d + 1
             w, inv = _merge(letters, i, i_next)
             left_block.append((w, inv, [(j - 1, 1)]))
-        L = _bracket_series(shape, *_normalize_block(left_block), HBAR)
+        L = _bracket_series(shape, *_normalize_block(left_block))
 
         # ---- right tensor factor: one block per marked slot, plus the
         # unmarked prefix (the boundary block always sits at j_0 = 0, since
@@ -166,7 +166,7 @@ def _coproduct_bar_generator(g):
         i1 = pairs[0][0] if pairs else d + 1
         pre = [(letters[r - 1][0], letters[r - 1][1], [(r - 1, 1)])
                for r in range(1, i1)]
-        R = _bracket_series(shape, *_normalize_block(pre), HBAR)
+        R = _bracket_series(shape, *_normalize_block(pre))
         for a, (i, j) in enumerate(pairs):
             i_next = pairs[a + 1][0] if a + 1 < len(pairs) else d + 1
             sign *= (-1) ** (j - i)
@@ -178,12 +178,12 @@ def _coproduct_bar_generator(g):
                          [(j - 1, 1), (r - 1, -1)])
                         for r in range(j - 1, i - 1, -1)]
             nb = _normalize_block(invblock)
-            R = R * _bracket_series(shape, *nb, HBAR)
+            R = R * _bracket_series(shape, *nb)
             # letters strictly between j and the next i, regular, from t_j
             regblock = [(letters[r - 1][0], letters[r - 1][1],
                          [(r - 1, 1), (j - 1, -1)])
                         for r in range(j + 1, i_next)]
-            R = R * _bracket_series(shape, *_normalize_block(regblock), HBAR)
+            R = R * _bracket_series(shape, *_normalize_block(regblock))
 
         for e, ce in L.terms.items():
             f = tuple(t - x for t, x in zip(target, e))
@@ -206,35 +206,15 @@ def coproduct_bar(e):
 # ---------------------------------------------------------------------------
 # inversion
 
-def _demand(shape, vars_):
-    """The exponents a caller reads from a series in vars_, as canonical
-    (caps, total_cap): the set {e <= caps, |e| <= total_cap} of ``shape``
-    with every other variable capped at 0, no cap above the total and no
-    total above the sum of the caps.  Equal sets get equal keys."""
-    total = shape.total_cap
-    caps = shape.caps
-    if caps is None:
-        caps = (total,) * shape.nvars
-    live = set(vars_)
-    caps = tuple(min(c, total) if v in live else 0
-                 for v, c in enumerate(caps))
-    return caps, min(total, sum(caps))
-
-
-def _reshape(s, caps, total_cap):
-    """s truncated like (caps, total_cap) instead of its own shape."""
-    return TruncatedSeries(s.nvars, s.sort, caps, total_cap, s.terms)
-
-
 def _inv_series(p, vars_, shape):
     """Series form of the inversion of the bracket with stored windows
     (p_0..p_1, ..., p_{m-1}..p_m), where stored slot u is paired with the
     series variable vars_[u].
 
-    The result is exact on the exponents the caller reads, given by
-    ``shape`` as {e <= c, |e| <= T} (see ``_demand``; the total cap T is
-    required, the caps c are not).  Each sub-series is computed only on
-    the exponents this call reads from it:
+    The result is exact on the exponents of ``shape``, {e <= c, |e| <= T};
+    a variable outside vars_ has exponent 0 throughout, so its cap is
+    zeroed first.  Each sub-series is computed only on the exponents this
+    call reads from it:
 
     * leading term A * B: products never lower an exponent, so A and B
       are needed on the same set as the output;
@@ -249,28 +229,31 @@ def _inv_series(p, vars_, shape):
     N's set holds every e_{t_j} = 0 exponent of its box, so the check that
     N vanishes at t_j = 0 still runs over the whole kept range.
     """
-    caps, total = _demand(shape, vars_)
-    return _inv_series_on(p, tuple(vars_), shape.nvars, caps, total)
+    live = set(vars_)
+    demand = TruncatedSeries(H, [c if v in live else 0
+                                 for v, c in enumerate(shape.caps)],
+                             shape.total)
+    return _inv_series_on(p, tuple(vars_), demand.caps, demand.total)
 
 
 @memo
-def _inv_series_on(p, vars_, nvars, caps, total):
-    """``_inv_series`` on the canonical demand (caps, total), which is
-    its cache key: shapes that read the same exponents share one series."""
+def _inv_series_on(p, vars_, caps, total):
+    """``_inv_series`` on the canonical shape (caps, total), which is its
+    cache key: shapes that read the same exponents share one series."""
+    shape = TruncatedSeries(H, caps, total)
     m = len(p) - 1
     if m == 0:
-        return TruncatedSeries.constant(1, nvars, H, caps, total).frozen()
+        return shape.constant(1).frozen()
 
-    shape = TruncatedSeries(nvars, H, caps, total)
     out = shape
     full_log = expand_log(p[0], p[-1], H)
 
     # leading sum: inverted head of length j times the regular tail
     for j in range(0, m):
         sgn = (-1) ** (m - 1 + j)
-        A = _reshape(_inv_series(p[:j + 1], vars_[:j], shape), caps, total)
+        A = shape._like(_inv_series(p[:j + 1], vars_[:j], shape).terms)
         B = _bracket_series(shape, p[j:], [[(v, 1)] for v in vars_[j:]],
-                            False, H)
+                            False)
         out = out + A * B * sgn
 
     # pole pairs: the two sums over j with 1/t_j prefactors cancel exactly
@@ -279,21 +262,21 @@ def _inv_series_on(p, vars_, nvars, caps, total):
         sgn = (-1) ** (m - 1 + j)
         tj = vars_[j - 1]
         ncaps = caps[:tj] + (caps[tj] + 1,) + caps[tj + 1:]
-        nshape = TruncatedSeries(nvars, H, ncaps, total + 1)
+        nshape = TruncatedSeries(H, ncaps, total + 1)
         acaps = tuple(c + ncaps[tj] for c in ncaps)
         A = _inv_series(p[:j], vars_[:j - 1],
-                        TruncatedSeries(nvars, H, acaps, total + 1))
+                        TruncatedSeries(H, acaps, total + 1))
         B = _bracket_series(nshape, p[j:],
-                            [[(v, 1)] for v in vars_[j:]], False, H)
-        N = _reshape(A, ncaps, total + 1) * B
-        images = {v: [(v, 1)] for v in range(nvars)}
+                            [[(v, 1)] for v in vars_[j:]], False)
+        N = nshape._like(A.terms) * B
+        images = {v: [(v, 1)] for v in range(len(caps))}
         for r in range(j - 1):
             images[vars_[r]] = [(vars_[r], 1), (tj, -1)]
-        Ap = A.substitute(images, nvars, ncaps, total + 1)
+        Ap = A.substitute(images, nshape)
         E = nshape.exp_linear(full_log, [(tj, 1)])
         Bp = _bracket_series(nshape, p[j:],
                              [[(vars_[r], 1), (tj, -1)] for r in range(j, m)],
-                             False, H)
+                             False)
         N = N - Ap * E * Bp
         N = N.divide_var(tj)   # raises if the cancellation at t_j=0 failed
         out = out + N * sgn
@@ -311,7 +294,7 @@ def inv_generator(g):
     n = g.weights
     # the one coefficient read is at t^(n-1)
     target = tuple(w - 1 for w in n)
-    shape = TruncatedSeries(d, H, caps=target, total_cap=sum(target))
+    shape = TruncatedSeries(H, target)
     val = _inv_series(g.indices, list(range(d)), shape).coefficient(target)
     if sum(target) % 2:
         # the stored-form extraction pairs each t with a minus sign

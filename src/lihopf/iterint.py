@@ -295,23 +295,17 @@ def _phi_series(start, letters, end, off, shape):
     """Series of the zero-stripped skeleton in the variables
     off .. off+len(letters) of the ambient truncated-series shape."""
     d = len(letters)
-    zero_series = TruncatedSeries(shape.nvars, shape.sort, shape.caps,
-                                  shape.total_cap)
+    zero_series = shape._like()
     if start == ZERO and end == ZERO:
-        if d == 0:
-            return TruncatedSeries.constant(1, shape.nvars, shape.sort,
-                                            shape.caps, shape.total_cap)
-        return zero_series
+        return zero_series if d else shape.constant(1)
     if end == ZERO:
         inner_caps = tuple(shape.caps[off + d - r] for r in range(d + 1))
-        inner = TruncatedSeries(d + 1, shape.sort, caps=inner_caps)
+        inner = TruncatedSeries(shape.sort, inner_caps)
         rev = _phi_series(ZERO, letters[::-1], start, 0, inner)
         images = {r: [(off + d - r, -1)] for r in range(d + 1)}
-        out = rev.substitute(images, shape.nvars, shape.caps, shape.total_cap)
-        return out * (-1) ** d
+        return rev.substitute(images, shape) * (-1) ** d
     if start == ZERO:
-        out = TruncatedSeries.constant(1, shape.nvars, shape.sort,
-                                       shape.caps, shape.total_cap)
+        out = shape.constant(1)
         if d:
             chain = list(letters) + [end]
             block = []
@@ -328,7 +322,7 @@ def _phi_series(start, letters, end, off, shape):
             if norm is None:
                 return zero_series
             indices, targs, inverted = norm
-            out = _bracket_series(shape, indices, targs, inverted, shape.sort)
+            out = _bracket_series(shape, indices, targs, inverted)
             out = out * (-1) ** d
         lg = _log_of(end)
         if not lg.is_zero():
@@ -357,7 +351,7 @@ def phi(g: IGenerator) -> Element:
             letters.append(p)
             runs.append(0)
     caps = tuple(runs)
-    shape = TruncatedSeries(len(caps), HBAR, caps=caps)
+    shape = TruncatedSeries(HBAR, caps)
     series = _phi_series(g.start, tuple(letters), g.end, 0, shape)
     return series.coefficient(caps).frozen()
 

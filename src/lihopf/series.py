@@ -1,33 +1,36 @@
 """Truncated multivariate polynomial series with algebra-valued coefficients.
 
-A series lives in a fixed tuple of formal variables t_0..t_{nvars-1} and
-keeps only exponent tuples allowed by a per-variable cap vector and/or a
-total-degree cap.  Coefficients are Element values (one common sort per
-series).  All operations below are exact on the kept range provided the
-inputs were: multiplication and homogeneous linear substitution never move
-degrees downward, and explicit division by a variable is only performed
-after checking that the dividend vanishes identically on the divisor's
-zero locus (every kept term has a positive exponent there).
+A series lives in the formal variables t_0, t_1, ..., one per cap, and
+keeps exactly the exponent tuples e with e <= caps (entrywise) and
+|e| <= total.  The shape is stored in canonical form: total is at most
+sum(caps) (its default), and no cap exceeds total, so two shapes that
+keep the same exponents compare equal.  Coefficients are Element values
+(one common sort per series).  All operations below are exact on the
+kept range provided the inputs were: multiplication and homogeneous
+linear substitution never move degrees downward, and explicit division
+by a variable is only performed after checking that the dividend
+vanishes identically on the divisor's zero locus (every kept term has a
+positive exponent there).
 """
 
 from fractions import Fraction
+from operator import add, le
 
 from .algebra import Element
 from .lincomb import LinComb
 
 
 class TruncatedSeries(LinComb):
-    __slots__ = ("nvars", "caps", "total_cap", "sort")
+    __slots__ = ("caps", "total", "sort")
 
-    _shape = ("nvars", "caps", "total_cap", "sort")
+    _shape = ("caps", "total", "sort")
     _scalars = (Element, int, Fraction)
 
-    def __init__(self, nvars, sort, caps=None, total_cap=None, terms=None):
-        if caps is None and total_cap is None:
-            raise ValueError("need at least one truncation bound")
-        self.nvars = nvars
-        self.caps = tuple(caps) if caps is not None else None
-        self.total_cap = total_cap
+    def __init__(self, sort, caps, total=None, terms=None):
+        full = sum(caps)
+        total = full if total is None else min(total, full)
+        self.caps = tuple(min(c, total) for c in caps)
+        self.total = total
         self.sort = sort
         self._init_terms(terms and {e: c for e, c in terms.items()
                                     if self._keep(e)})
@@ -36,30 +39,24 @@ class TruncatedSeries(LinComb):
         return c if isinstance(c, Element) else Element.constant(c, self.sort)
 
     def _keep(self, e):
-        if self.caps is not None and any(x > c for x, c in zip(e, self.caps)):
-            return False
-        if self.total_cap is not None and sum(e) > self.total_cap:
-            return False
-        return True
+        return sum(e) <= self.total and all(map(le, e, self.caps))
 
     def _mul_key(self, e1, e2):
-        e = tuple(a + b for a, b in zip(e1, e2))
+        e = tuple(map(add, e1, e2))
         return e if self._keep(e) else None
 
     def _conform(self, other):
         """The right operand restricted to this series' truncation."""
-        if (other.nvars, other.sort) != (self.nvars, self.sort):
+        if (len(other.caps), other.sort) != (len(self.caps), self.sort):
             return LinComb._conform(self, other)
         return self._like(other.terms)
 
     def _like(self, terms=None):
-        return TruncatedSeries(self.nvars, self.sort, self.caps,
-                               self.total_cap, terms)
+        return TruncatedSeries(self.sort, self.caps, self.total, terms)
 
-    @staticmethod
-    def constant(value, nvars, sort, caps=None, total_cap=None):
-        return TruncatedSeries(nvars, sort, caps, total_cap,
-                               {(0,) * nvars: value})
+    def constant(self, value):
+        """value, shaped like self."""
+        return self._like({(0,) * len(self.caps): value})
 
     def coefficient(self, e):
         e = tuple(e)
@@ -73,7 +70,7 @@ class TruncatedSeries(LinComb):
         """sum of c * t_v for (v, c) in pairs, as a series shaped like self."""
         terms = {}
         for v, c in pairs:
-            e = [0] * self.nvars
+            e = [0] * len(self.caps)
             e[v] = 1
             e = tuple(e)
             terms[e] = terms.get(e, 0) + c
@@ -81,34 +78,28 @@ class TruncatedSeries(LinComb):
 
     def exp_linear(self, value, pairs):
         """exp(value * linear_form(pairs)), truncated.  value is an Element."""
-        bound = self.total_cap
-        if bound is None:
-            bound = sum(self.caps)
         lin = self.linear_form(pairs) * value
-        out = TruncatedSeries.constant(1, self.nvars, self.sort,
-                                       self.caps, self.total_cap)
-        term = TruncatedSeries.constant(1, self.nvars, self.sort,
-                                        self.caps, self.total_cap)
-        for k in range(1, bound + 1):
+        out = term = self.constant(1)
+        for k in range(1, self.total + 1):
             term = term * lin * Fraction(1, k)
             if not term.terms:
                 break
             out = out + term
         return out
 
-    def substitute(self, images, nvars, caps=None, total_cap=None):
+    def substitute(self, images, target):
         """Replace variable v by the linear form images[v] (list of (var,
-        coeff) pairs over the *target* variables).  Homogeneous, hence
-        truncation-exact for the target bounds."""
-        out = TruncatedSeries(nvars, self.sort, caps, total_cap)
+        coeff) pairs over the variables of ``target``), truncated like
+        ``target``.  Homogeneous, hence truncation-exact."""
+        out = target._like()
         lin_cache = {}
         for e, c in self.terms.items():
-            piece = TruncatedSeries.constant(c, nvars, self.sort, caps, total_cap)
+            piece = target.constant(c)
             for v, k in enumerate(e):
                 if not k:
                     continue
                 if v not in lin_cache:
-                    lin_cache[v] = out.linear_form(images[v])
+                    lin_cache[v] = target.linear_form(images[v])
                 for _ in range(k):
                     piece = piece * lin_cache[v]
             out = out + piece

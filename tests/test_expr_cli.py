@@ -284,6 +284,18 @@ def test_cli_usage_errors_exit_two():
         assert res.exit_code == 2, argv
 
 
+def test_cli_verify_bounds_below_one_exit_two():
+    # a sweep bound below 1 checks no case, so it must not report a pass
+    for argv in [["--max-weight", "0"],
+                 ["--suite", "coassoc", "--max-weight", "0"],
+                 ["--max-depth", "-3"],
+                 ["--suite", "inv-morphism", "--max-depth", "0"]]:
+        res = runner.invoke(main, ["verify"] + argv)
+        assert res.exit_code == 2, argv
+        assert res.stdout == "", argv
+        assert "running" not in res.stderr, argv
+
+
 def test_cli_deterministic_for_a_seed():
     argv = ["verify", "--suite", "forms", "--seed", "3"]
     first = runner.invoke(main, argv)

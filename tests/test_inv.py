@@ -148,12 +148,11 @@ def test_demand_shape_matches_looser_shape():
         d = len(n)
         target = tuple(w - 1 for w in n)
         clear_caches()
-        got = _inv_series(p, list(range(d)),
-                          TruncatedSeries(d, H, caps=target,
-                                          total_cap=sum(target)))
+        got = _inv_series(p, list(range(d)), TruncatedSeries(H, target))
         clear_caches()
+        T = sum(target)
         ref = _inv_series(p, list(range(d)),
-                          TruncatedSeries(d, H, total_cap=sum(target) + 1))
+                          TruncatedSeries(H, (T + 1,) * d, T + 1))
         assert got.coefficient(target) == ref.coefficient(target), (p, n)
         for e in itertools.product(*(range(c + 1) for c in target)):
             assert got.coefficient(e) == ref.coefficient(e), (p, n, e)

@@ -48,7 +48,7 @@ ITENSORS = _combos(st.tuples(I_MONS, I_MONS), ITensor)
 SERIES_CAPS = (2, 1)
 SERIES = st.dictionaries(
     st.tuples(st.integers(0, 2), st.integers(0, 1)), ELEMENTS,
-    max_size=4).map(lambda t: TruncatedSeries(2, H, SERIES_CAPS, 2, t))
+    max_size=4).map(lambda t: TruncatedSeries(H, SERIES_CAPS, 2, t))
 
 ALGEBRAS = {
     "Element": ELEMENTS, "Tensor": TENSORS, "WordSum": WORDS, "Poly": POLYS,
@@ -152,13 +152,13 @@ def test_equality_depends_on_shape():
 
 def test_series_sum_keeps_the_left_truncation():
     x = Element.from_generator(log(1), H)
-    tight = TruncatedSeries(2, H, caps=(1, 1), total_cap=1)
-    loose = TruncatedSeries(2, H, caps=(3, 3), total_cap=4,
+    tight = TruncatedSeries(H, (1, 1), 1)
+    loose = TruncatedSeries(H, (3, 3), 4,
                             terms={(a, b): x for a in range(4)
                                    for b in range(4) if a + b <= 4})
     for got in (tight + loose, tight - loose):
         assert set(got.terms) == {(0, 0), (1, 0), (0, 1)}
-        assert (got.caps, got.total_cap) == ((1, 1), 1)
+        assert (got.caps, got.total) == ((1, 1), 1)
     assert set((loose + tight).terms) == set(loose.terms)
 
 
