@@ -19,6 +19,8 @@ coefficient read at the end; see ``_inv_series``), one degree higher in
 t_j before a division by t_j, so those divisions are exact as well.
 """
 
+from fractions import Fraction
+
 from .algebra import (
     H,
     HBAR,
@@ -185,6 +187,7 @@ def _coproduct_bar_generator(g):
                         for r in range(j + 1, i_next)]
             R = R * _bracket_series(shape, *_normalize_block(regblock))
 
+        scale = sign if L.den == 1 else Fraction(sign, L.den)
         for e, ce in L.terms.items():
             f = tuple(t - x for t, x in zip(target, e))
             if any(x < 0 for x in f):
@@ -192,7 +195,7 @@ def _coproduct_bar_generator(g):
             cf = R.coefficient(f)
             if cf.is_zero():
                 continue
-            out = out + Tensor.of(ce, cf) * sign
+            out = out + Tensor.of(ce, cf) * scale
 
     return out.frozen()
 
@@ -251,7 +254,7 @@ def _inv_series_on(p, vars_, caps, total):
     # leading sum: inverted head of length j times the regular tail
     for j in range(0, m):
         sgn = (-1) ** (m - 1 + j)
-        A = shape._like(_inv_series(p[:j + 1], vars_[:j], shape).terms)
+        A = shape._conform(_inv_series(p[:j + 1], vars_[:j], shape))
         B = _bracket_series(shape, p[j:], [[(v, 1)] for v in vars_[j:]],
                             False)
         out = out + A * B * sgn
@@ -268,7 +271,7 @@ def _inv_series_on(p, vars_, caps, total):
                         TruncatedSeries(H, acaps, total + 1))
         B = _bracket_series(nshape, p[j:],
                             [[(v, 1)] for v in vars_[j:]], False)
-        N = nshape._like(A.terms) * B
+        N = nshape._conform(A) * B
         images = {v: [(v, 1)] for v in range(len(caps))}
         for r in range(j - 1):
             images[vars_[r]] = [(vars_[r], 1), (tj, -1)]

@@ -4,9 +4,11 @@ Every object of the package is a finite combination  sum_k c_k * k  of
 hashable keys k (monomials, tuples of monomials, words, exponent tuples,
 basis covectors) with nonzero coefficients c_k.  The coefficients are
 exact rationals, or for series and forms elements of another such
-algebra.  A rational is stored in its canonical form, an ``int`` when
-it is integral and a ``Fraction`` otherwise; arithmetic may still
-produce an integral ``Fraction``, which equals and hashes like the int.
+algebra; a series is ``terms / den``, integral numerators over one
+positive integer denominator (see ``series``).  A rational is stored in
+its canonical form, an ``int`` when it is integral and a ``Fraction``
+otherwise; arithmetic may still produce an integral ``Fraction``, which
+equals and hashes like the int.
 ``LinComb`` holds the combination in a dict ``terms`` and implements
 addition, negation, subtraction, scaling, the product through a
 per-class product of keys, equality and zero pruning once, for all of
@@ -152,6 +154,10 @@ class LinComb:
         return self._new(terms)
 
     def _mul(self, other):
+        return self._new(self._mul_terms(other))
+
+    def _mul_terms(self, other):
+        """The terms of the product of self and other, zeros dropped."""
         key = self._mul_key
         terms = {}
         get = terms.get
@@ -161,7 +167,7 @@ class LinComb:
                 if k is not None:
                     v = get(k)
                     terms[k] = c1 * c2 if v is None else v + c1 * c2
-        return self._new(_nonzero(terms))
+        return _nonzero(terms)
 
     def scale(self, c):
         """c * self for a scalar c, or a coefficient c of a series or

@@ -11,17 +11,34 @@ linear substitution never move degrees downward, and explicit division
 by a variable is only performed after checking that the dividend
 vanishes identically on the divisor's zero locus (every kept term has a
 positive exponent there).
+
+A series is ``terms / den``: integral Element numerators over one
+positive integer denominator, the layout of FLINT's ``fmpq_poly``.  The
+denominator is a value, not part of the shape.  A product multiplies
+the denominators, a sum rescales both sides to their lcm, and equality
+compares values across denominators.  Only ``exp_linear`` makes one
+other than 1 (``den = K!`` for its highest kept power ``K``), so the
+arithmetic on numerators stays in ints; ``coefficient`` divides, once
+per read, into canonical rationals.
 """
 
 from fractions import Fraction
+from math import factorial, lcm
 from operator import add, le
 
 from .algebra import Element
-from .lincomb import LinComb
+from .lincomb import LinComb, as_fraction
+
+
+def _divide(v, den):
+    """The canonical rational v / den, for an int or Fraction v."""
+    if v.__class__ is int and not v % den:
+        return v // den
+    return as_fraction(Fraction(v, den))
 
 
 class TruncatedSeries(LinComb):
-    __slots__ = ("caps", "total", "sort")
+    __slots__ = ("caps", "total", "sort", "den")
 
     _shape = ("caps", "total", "sort")
     _scalars = (Element, int, Fraction)
@@ -32,8 +49,15 @@ class TruncatedSeries(LinComb):
         self.caps = tuple(min(c, total) for c in caps)
         self.total = total
         self.sort = sort
-        self._init_terms(terms and {e: c for e, c in terms.items()
-                                    if self._keep(e)})
+        self.den = 1
+        self.terms = self._like(terms).terms
+
+    def _new(self, terms, den=None):
+        """A result shaped like self, with value terms / den (by default
+        self's denominator)."""
+        out = LinComb._new(self, terms)
+        out.den = self.den if den is None else den
+        return out
 
     def _coerce(self, c):
         return c if isinstance(c, Element) else Element.constant(c, self.sort)
@@ -49,18 +73,63 @@ class TruncatedSeries(LinComb):
         """The right operand restricted to this series' truncation."""
         if (len(other.caps), other.sort) != (len(self.caps), self.sort):
             return LinComb._conform(self, other)
-        return self._like(other.terms)
+        return self._like(other.terms, other.den)
 
-    def _like(self, terms=None):
-        return TruncatedSeries(self.sort, self.caps, self.total, terms)
+    def _like(self, terms=None, den=1):
+        """terms / den, truncated like self: the terms self keeps,
+        coerced, zeros dropped."""
+        keep, coerce = self._keep, self._coerce
+        kept = {}
+        if terms:
+            for e, c in terms.items():
+                if keep(e):
+                    c = coerce(c)
+                    if c:
+                        kept[e] = c
+        return self._new(kept, den)
 
     def constant(self, value):
         """value, shaped like self."""
         return self._like({(0,) * len(self.caps): value})
 
     def coefficient(self, e):
-        e = tuple(e)
-        return self.terms.get(e, Element.zero(self.sort))
+        """The coefficient of t^e, its rationals in canonical form."""
+        c = self.terms.get(tuple(e))
+        if c is None:
+            return Element.zero(self.sort)
+        den = self.den
+        if den == 1:
+            return c
+        return c._new({m: _divide(v, den) for m, v in c.terms.items()})
+
+    # -- arithmetic on terms / den -------------------------------------------
+
+    def _rescaled(self, den):
+        """self with denominator den, a multiple of self.den."""
+        f = den // self.den
+        if f == 1:
+            return self
+        return self._new({e: c * f for e, c in self.terms.items()}, den)
+
+    def _add(self, other, sign=1):
+        if self.den == other.den:
+            return LinComb._add(self, other, sign)
+        den = lcm(self.den, other.den)
+        return LinComb._add(self._rescaled(den), other._rescaled(den), sign)
+
+    def _mul(self, other):
+        return self._new(self._mul_terms(other), self.den * other.den)
+
+    def __eq__(self, other):
+        if other.__class__ is not self.__class__:
+            return NotImplemented
+        if not self._same_shape(other):
+            return False
+        a, b = self.den, other.den
+        if a == b:
+            return self.terms == other.terms
+        return ({e: c * b for e, c in self.terms.items()}
+                == {e: c * a for e, c in other.terms.items()})
 
     # kept in the class namespace: operator tracing (perfbench/tracer.py)
     # wraps them per class
@@ -77,15 +146,25 @@ class TruncatedSeries(LinComb):
         return self._like(terms)
 
     def exp_linear(self, value, pairs):
-        """exp(value * linear_form(pairs)), truncated.  value is an Element."""
+        """exp(value * linear_form(pairs)), truncated.  value is an Element.
+
+        The kept powers lin^k, k <= K, are homogeneous of distinct degrees,
+        so their terms are disjoint: the result is sum (K!/k!) lin^k over
+        den = K!, with integer numerators."""
         lin = self.linear_form(pairs) * value
-        out = term = self.constant(1)
-        for k in range(1, self.total + 1):
-            term = term * lin * Fraction(1, k)
+        powers = [self.constant(1)]
+        while len(powers) <= self.total:
+            term = powers[-1] * lin
             if not term.terms:
                 break
-            out = out + term
-        return out
+            powers.append(term)
+        top = len(powers) - 1
+        terms = {}
+        for k, term in enumerate(powers):
+            f = factorial(top) // factorial(k)
+            for e, c in term.terms.items():
+                terms[e] = c * f
+        return self._new(terms, factorial(top))
 
     def substitute(self, images, target):
         """Replace variable v by the linear form images[v] (list of (var,
@@ -103,7 +182,7 @@ class TruncatedSeries(LinComb):
                 for _ in range(k):
                     piece = piece * lin_cache[v]
             out = out + piece
-        return out
+        return out._new(out.terms, self.den)
 
     def divide_var(self, v):
         """Exact division by t_v; raises if the constant-in-t_v part is
@@ -114,7 +193,8 @@ class TruncatedSeries(LinComb):
                 raise ArithmeticError(
                     "division by t_%d leaves a pole: %r -> %s" % (v, e, c))
             terms[e[:v] + (e[v] - 1,) + e[v + 1:]] = c
-        return self._like(terms)
+        # lowering an exponent stays inside the truncation
+        return self._new(terms)
 
     def __repr__(self):
         if not self.terms:
@@ -123,4 +203,5 @@ class TruncatedSeries(LinComb):
         for e in sorted(self.terms):
             mono = " ".join("t%d^%d" % (v, k) for v, k in enumerate(e) if k)
             bits.append("(%s)%s" % (self.terms[e], " " + mono if mono else ""))
-        return "<series %s>" % " + ".join(bits)
+        over = " over %d" % self.den if self.den != 1 else ""
+        return "<series %s%s>" % (" + ".join(bits), over)

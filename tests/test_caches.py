@@ -3,14 +3,16 @@ all of them, recomputed values equal the cached ones, errors are never
 cached, and no module keeps a hand-rolled cache dict beside it."""
 
 import ast
+import itertools
 import pathlib
+from fractions import Fraction
 
 import pytest
 
 import lihopf
 from lihopf import clear_caches
 from lihopf.algebra import H, gen_elem, li
-from lihopf.coproduct import inv_generator
+from lihopf.coproduct import _coproduct_bar_generator, inv_generator
 from lihopf.forms import w_element
 from lihopf.iterint import (ONE, ZERO, IGenerator, InvProduct,
                             canonical_symbol, phi)
@@ -62,6 +64,30 @@ def test_symbol_never_reaches_the_coproduct():
     for name in ("inv_generator", "_coproduct_bar_generator",
                  "_inv_series_on"):
         assert memos[name].cache_info().currsize == 0, name
+
+
+def _canonical(x):
+    """Every rational coefficient of x (through Element coefficients and
+    tensor slots) is an int or a Fraction that is not integral."""
+    return all(_canonical(c) if hasattr(c, "terms")
+               else type(c) is int
+               or (type(c) is Fraction and c.denominator > 1)
+               for c in x.terms.values())
+
+
+def test_cached_results_hold_no_integral_fraction():
+    # products that read cached values run on ints wherever they can
+    clear_caches()
+    for d in (1, 2, 3):
+        for n in itertools.product((1, 2), repeat=d):
+            indices = tuple(range(2, d + 3))
+            for inverted in (False, True):
+                g = li(indices, n, inverted)
+                assert _canonical(_coproduct_bar_generator(g)), g
+                assert _canonical(inv_generator(g)), g
+            assert _canonical(phi(canonical_symbol(indices, n))), n
+    assert _canonical(phi(IGenerator(ZERO, (InvProduct(1, 2), ZERO,
+                                             InvProduct(2, 2)), ONE)))
 
 
 def _sources():

@@ -46,9 +46,10 @@ I_MONS = _mons(IGENS)
 IELEMENTS = _combos(I_MONS, IElement)
 ITENSORS = _combos(st.tuples(I_MONS, I_MONS), ITensor)
 SERIES_CAPS = (2, 1)
-SERIES = st.dictionaries(
+SERIES = st.tuples(st.dictionaries(
     st.tuples(st.integers(0, 2), st.integers(0, 1)), ELEMENTS,
-    max_size=4).map(lambda t: TruncatedSeries(H, SERIES_CAPS, 2, t))
+    max_size=4), st.sampled_from([1, 1, 2, 6])).map(
+        lambda t: TruncatedSeries(H, SERIES_CAPS, 2)._like(*t))
 
 ALGEBRAS = {
     "Element": ELEMENTS, "Tensor": TENSORS, "WordSum": WORDS, "Poly": POLYS,

@@ -117,3 +117,76 @@ def test_equal_demands_share_one_inversion_series():
     again = _inv_series_on.cache_info()
     assert second is first
     assert (again.misses, again.hits) == (info.misses, info.hits + 1)
+
+
+# ---------------------------------------------------------------------------
+# the common denominator: a series is terms / den
+
+def _integral(s):
+    return all(type(v) is int for c in s.terms.values()
+               for v in c.terms.values())
+
+
+def test_exp_linear_has_integer_numerators_over_k_factorial():
+    # the highest kept power of t0 is K = 3: den 3! = 6, numerators 6/k!
+    one = TruncatedSeries(H, (3,)).constant(1)
+    e = one.exp_linear(x(1), [(0, 1)])
+    assert e.den == 6 and _integral(e)
+    assert e.terms[(2,)] == x(1) * x(1) * 3
+    # the total allows t0^4, but lin^2 already vanishes on cap 1: K = 1
+    one = TruncatedSeries(H, (1, 3), 4).constant(1)
+    e = one.exp_linear(x(1), [(0, 1)])
+    assert e.den == 1 and _integral(e)
+    # K is capped by the total
+    one = TruncatedSeries(H, (3, 3), 2).constant(1)
+    e = one.exp_linear(x(1) + x(2), [(0, 1), (1, 1)])
+    assert e.den == 2 and _integral(e)
+
+
+def test_sum_over_denominators_2_and_6_is_the_rational_sum():
+    shape = TruncatedSeries(H, (2, 1))
+    ta = {(0, 0): x(1), (1, 0): x(2), (1, 1): x(1) * 3}
+    tb = {(0, 0): x(1) * 3, (0, 1): x(2), (1, 1): x(1) * -9}
+    a, b = shape._like(ta, 2), shape._like(tb, 6)
+    fa = TruncatedSeries(H, (2, 1), terms={
+        e: c * Fraction(1, 2) for e, c in ta.items()})
+    fb = TruncatedSeries(H, (2, 1), terms={
+        e: c * Fraction(1, 6) for e, c in tb.items()})
+    for got, want in ((a + b, fa + fb), (a - b, fa - fb), (b - a, fb - fa)):
+        assert got.den == 6 and _integral(got)
+        assert got == want and want == got
+        for e in ((0, 0), (1, 0), (0, 1), (1, 1), (2, 1)):
+            assert got.coefficient(e) == want.coefficient(e)
+    # 3 x(1) / 2 - 9 x(1) / 6 cancels
+    assert (1, 1) not in (a + b).terms
+    assert (a + b).coefficient((0, 0)) == x(1)
+    assert type((a + b).coefficient((0, 0)).terms[(log(1),)]) is int
+
+
+def test_equality_holds_across_denominators():
+    s = TruncatedSeries(H, (2, 2)).constant(x(1)) \
+        + TruncatedSeries(H, (2, 2)).linear_form([(0, 3), (1, -1)])
+    twice = s._like(s.scale(2).terms, 2)
+    assert twice.den == 2 and s.den == 1
+    assert twice == s and s == twice
+    assert s._like(s.terms, 2) != s
+    assert twice.coefficient((1, 0)) == Element.constant(3, H)
+    assert type(twice.coefficient((1, 0)).constant_term()) is int
+
+
+def test_divide_substitute_and_conform_keep_the_denominator():
+    one = TruncatedSeries(H, (2, 2)).constant(1)
+    t0 = one.linear_form([(0, 1)])
+    s = t0._like((t0 * one.linear_form([(0, 1), (1, 1)])).terms, 6)
+    q = s.divide_var(0)
+    assert q.den == 6
+    assert q * 6 == one.linear_form([(0, 1), (1, 1)])
+    sub = s.substitute({0: [(1, 1)], 1: [(0, 1)]}, one)
+    assert sub.den == 6
+    assert sub * 6 == (t0 * one.linear_form([(0, 1), (1, 1)])).substitute(
+        {0: [(1, 1)], 1: [(0, 1)]}, one)
+    tight = TruncatedSeries(H, (1, 1), 1)
+    c = tight._conform(s)
+    assert c.den == 6 and (c.caps, c.total) == ((1, 1), 1)
+    assert set(c.terms) == set(s.terms) & {(0, 0), (1, 0), (0, 1)}
+
