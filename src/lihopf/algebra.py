@@ -1,7 +1,9 @@
-"""Free commutative algebras of polylogarithm brackets, with exact scalars.
+"""Free commutative algebras of polylogarithm brackets and of
+iterated-integral symbols, with exact scalars.
 
-Two sorts share one representation.  Both are spanned by commutative
-monomials in bracket generators:
+Three sorts share one representation: each is spanned by commutative
+monomials, sorted tuples of generators.  The two bracket sorts are
+spanned by monomials in bracket generators:
 
     log generator   [x_i]_0                      weight 1
     nested bracket  [w_1, ..., w_d]_{n_1,...,n_d}  weight n_1+...+n_d
@@ -24,6 +26,10 @@ normalizes to -[w]_0, and a window log [x_{i->j}]_0 is eagerly expanded
 into sum(  [x_r]_0 for i <= r < j ), so that window additivity holds by
 construction.
 
+The sort 'I' is spanned by monomials in the iterated-integral symbols
+I(a_0; a_1 ... a_m; a_{m+1}) of ``iterint``; it carries the subsequence
+coproduct there, not the bracket coproducts.
+
 Scalars are exact rationals.  A coefficient is stored as an int when it
 is integral and as a fractions.Fraction otherwise (see ``lincomb``); an
 integral Fraction produced by arithmetic equals and hashes like the int.
@@ -36,6 +42,7 @@ from .lincomb import LinComb, extend
 
 H = "H"
 HBAR = "Hbar"
+ITER = "I"
 
 LOG = "log"
 LI = "li"
@@ -160,7 +167,8 @@ def text_sum(items, body_of):
 
 
 class Element(LinComb):
-    """A finite Q-linear combination of monomials, tagged with its sort.
+    """A finite Q-linear combination of monomials, tagged with its sort:
+    H, Hbar (brackets) or I (iterated-integral symbols).
 
     Arithmetic requires equal sorts; a constant (scalar multiple of the
     empty monomial) is sort-agnostic and adopts the other operand's sort.
@@ -172,8 +180,8 @@ class Element(LinComb):
     _mul_key = staticmethod(mul_monomials)
 
     def __init__(self, sort, terms=None):
-        if sort not in (H, HBAR):
-            raise ValueError("sort must be 'H' or 'Hbar'")
+        if sort not in (H, HBAR, ITER):
+            raise ValueError("sort must be 'H', 'Hbar' or 'I'")
         self.sort = sort
         self._init_terms(terms)
         self._check()
@@ -207,12 +215,6 @@ class Element(LinComb):
     @staticmethod
     def constant(c, sort=H):
         return Element(sort, {(): c})
-
-    @staticmethod
-    def from_generator(g, sort=None):
-        if sort is None:
-            sort = HBAR if g.inverted else H
-        return Element(sort, {(g,): 1})
 
     @staticmethod
     def from_monomial(mon, sort, coeff=1):
@@ -288,7 +290,11 @@ class Element(LinComb):
 
 
 def gen_elem(g, sort=None):
-    return Element.from_generator(g, sort)
+    """The bracket generator g as an element; sort defaults to the
+    smallest sort holding it."""
+    if sort is None:
+        sort = HBAR if g.inverted else H
+    return Element(sort, {(g,): 1})
 
 
 def expand_log(i, j, sort=H, inverse=False):
@@ -409,9 +415,7 @@ def apply_contraction(c, x):
         if g.indices[-1] > len(c):
             raise ValueError("generator outside contraction range")
         newidx = tuple(c[a - 1] for a in g.indices)
-        return Element.from_generator(
-            Generator(LI, newidx, g.weights, g.inverted),
-            HBAR if g.inverted else H)
+        return gen_elem(Generator(LI, newidx, g.weights, g.inverted))
 
     if isinstance(x, Generator):
         return on_generator(x)

@@ -328,10 +328,12 @@ def coproduct_h(e):
 
 
 def coproduct(e):
-    """Sort-directed dispatch between the two coproducts."""
+    """Sort-directed dispatch between the two bracket coproducts."""
     if e.sort == HBAR:
         return coproduct_bar(e)
-    return coproduct_h(e)
+    if e.sort == H:
+        return coproduct_h(e)
+    raise ValueError("no bracket coproduct on sort %r" % (e.sort,))
 
 
 def reduced_coproduct(e):

@@ -21,7 +21,7 @@ import random
 from fractions import Fraction
 from types import MappingProxyType
 
-from .algebra import Element, H, mul_monomials
+from .algebra import Element, H, gen_elem, mul_monomials
 from .lincomb import LinComb, collect, extend, linear, memo
 from .tensor import (WordSum, letter_generator, symbol, u_, v_,
                      weight_one_letters)
@@ -307,7 +307,7 @@ def element_to_poly(e):
 def poly_to_element(p, sort=H):
     def generator_of_letter(sym):
         g, c = letter_generator(sym)
-        return Element.from_generator(g, sort) * c
+        return gen_elem(g, sort) * c
 
     return extend(p, generator_of_letter, Element.one(sort))
 

@@ -2,9 +2,10 @@
 
 Points on the integration line are 0, 1, and inverse products
 1/(x_i * ... * x_j).  Points and the symbols I(a_0; a_1 ... a_m; a_{m+1})
-are named tuples, so they are hashed, compared and sorted as tuples; a
-monomial of symbols is a sorted tuple of them, as for brackets.  The free
-commutative algebra on the symbols carries the subsequence coproduct; the
+are named tuples, so they are hashed, compared and sorted as tuples.  The
+free commutative algebra on the symbols is the sort I of ``Element``
+(``integral(g)`` is the symbol g as an element, and an empty integral is
+1); its subsequence coproduct is a ``Tensor`` of sorts (I, I).  The
 evaluation map phi sends each polylogarithmic symbol into the inverted
 bracket algebra.  phi is computed with the same truncated-series engine
 as the bracket coproduct: interior zeros become powers of a formal
@@ -19,11 +20,11 @@ from __future__ import annotations
 import itertools
 from typing import NamedTuple, Optional
 
-from .algebra import HBAR, Element, expand_log, mul_monomials
+from .algebra import HBAR, ITER, Element, expand_log
 from .coproduct import _bracket_series, _normalize_block, coproduct_bar
-from .lincomb import LinComb, extend, memo
+from .lincomb import extend, memo
 from .series import TruncatedSeries
-from .tensor import Tensor, _slotwise
+from .tensor import Tensor
 
 
 # ---------------------------------------------------------------------------
@@ -121,81 +122,35 @@ class IGenerator(NamedTuple):
         return f"I({self.start!r};{inner};{self.end!r})"
 
 
-class IElement(LinComb):
-    """Rational combination of products of symbols."""
-
-    __slots__ = ()
-
-    _mul_key = staticmethod(mul_monomials)
-
-    def __init__(self, terms=None):
-        self._init_terms(terms)
-
-    @staticmethod
-    def zero() -> "IElement":
-        return IElement()
-
-    @staticmethod
-    def unit() -> "IElement":
-        return IElement({(): 1})
-
-    @staticmethod
-    def of(g: IGenerator) -> "IElement":
-        if not g.word:
-            return IElement.unit()  # an empty integral is 1
-        return IElement({(g,): 1})
-
-    def __repr__(self) -> str:
-        if not self.terms:
-            return "0"
-        return " + ".join(f"{c} * {m}" for m, c in self.terms.items())
-
-
-class ITensor(LinComb):
-    """Two-slot tensors of symbol monomials."""
-
-    __slots__ = ()
-
-    _mul_key = staticmethod(_slotwise)
-
-    def __init__(self, terms=None):
-        self._init_terms(terms)
-
-    @staticmethod
-    def zero() -> "ITensor":
-        return ITensor()
-
-    @staticmethod
-    def of(a: IElement, b: IElement) -> "ITensor":
-        return ITensor({(m1, m2): c1 * c2 for m1, c1 in a.terms.items()
-                        for m2, c2 in b.terms.items()})
-
-    def __repr__(self) -> str:
-        return f"<itensor {len(self.terms)} terms>"
+def integral(g: IGenerator) -> Element:
+    """The symbol g as a sort-I element; an empty integral is 1."""
+    if not g.word:
+        return Element.one(ITER)
+    return Element(ITER, {(g,): 1})
 
 
 # ---------------------------------------------------------------------------
 # the subsequence coproduct
 
-def i_coproduct_gen(g: IGenerator) -> ITensor:
+def i_coproduct_gen(g: IGenerator) -> Tensor:
     """Left: the symbol on a subsequence of interior letters.  Right: the
     product of the symbols on the cut-out segments."""
     m = g.weight
     points = [g.start] + list(g.word) + [g.end]
-    out = ITensor.zero()
+    out = Tensor.zero((ITER, ITER))
     for k in range(m + 1):
         for keep in itertools.combinations(range(1, m + 1), k):
-            left = IElement.of(
+            left = integral(
                 IGenerator(g.start, tuple(points[i] for i in keep), g.end))
             right = subsequence_entry(points, range(m + 2),
                                       (0,) + keep + (m + 1,))
-            out = out + ITensor.of(left, right)
+            out = out + Tensor.of(left, right)
     return out
 
 
-def i_coproduct(e: IElement) -> ITensor:
-    return extend(e, i_coproduct_gen,
-                  ITensor.of(IElement.unit(), IElement.unit()))
+def i_coproduct(e: Element) -> Tensor:
+    one = Element.one(ITER)
+    return extend(e, i_coproduct_gen, Tensor.of(one, one))
 
 
 # ---------------------------------------------------------------------------
@@ -212,54 +167,38 @@ def subsequence_keys(n_points: int) -> list[tuple[int, ...]]:
     return keys
 
 
-def subsequence_entry(points, iseq, jseq) -> IElement:
+def subsequence_entry(points, iseq, jseq) -> Element:
     """Product of segment symbols; zero unless jseq is a subsequence of
     iseq."""
     if not set(jseq) <= set(iseq):
-        return IElement.zero()
+        return Element.zero(ITER)
     # every segment symbol enters with coefficient 1, and an empty
     # segment is the unit, so the product is one monomial
     segs = (IGenerator(points[a], tuple(points[i] for i in iseq if a < i < b),
                        points[b]) for a, b in zip(jseq, jseq[1:]))
-    return IElement({tuple(sorted(g for g in segs if g.word)): 1})
-
-
-def subsequence_comultiplicative_ok(points) -> bool:
-    """Delta(V[i][j]) == sum over k of V[k][j] (x) V[i][k]."""
-    keys = subsequence_keys(len(points))
-    for iseq in keys:
-        for jseq in keys:
-            lhs = i_coproduct(subsequence_entry(points, iseq, jseq))
-            rhs = ITensor.zero()
-            for kseq in keys:
-                rhs = rhs + ITensor.of(
-                    subsequence_entry(points, kseq, jseq),
-                    subsequence_entry(points, iseq, kseq))
-            if lhs != rhs:
-                return False
-    return True
+    return Element(ITER, {tuple(sorted(g for g in segs if g.word)): 1})
 
 
 # ---------------------------------------------------------------------------
 # the basepoint-splitting map
 
-def gamma_gen(g: IGenerator) -> IElement:
+def gamma_gen(g: IGenerator) -> Element:
     """Split the path at the basepoint 0 in every position; pieces that
     begin and end at 0 with letters in between vanish."""
-    out = IElement.zero()
+    out = Element.zero(ITER)
     for q in range(g.weight + 1):
         head, tail = g.word[:q], g.word[q:]
         if g.start == ZERO and head:
             continue
         if g.end == ZERO and tail:
             continue
-        out = out + (IElement.of(IGenerator(g.start, head, ZERO))
-                     * IElement.of(IGenerator(ZERO, tail, g.end)))
+        out = out + (integral(IGenerator(g.start, head, ZERO))
+                     * integral(IGenerator(ZERO, tail, g.end)))
     return out
 
 
-def gamma(e: IElement) -> IElement:
-    return extend(e, gamma_gen, IElement.unit())
+def gamma(e: Element) -> Element:
+    return extend(e, gamma_gen, Element.one(ITER))
 
 
 # ---------------------------------------------------------------------------
@@ -356,19 +295,21 @@ def phi(g: IGenerator) -> Element:
     return series.coefficient(caps).frozen()
 
 
-def phi_element(e: IElement) -> Element:
+def phi_element(e: Element) -> Element:
     return extend(e, phi, Element.one(HBAR))
+
+
+def _phi_monomial(mon) -> Element:
+    return phi_element(Element.from_monomial(mon, ITER))
 
 
 def phi_morphism_ok(g: IGenerator) -> bool:
     """(phi (x) phi) after the subsequence coproduct agrees with the
     bracket coproduct after phi."""
-    lhs = Tensor.zero((HBAR, HBAR))
-    for (lm, rm), c in i_coproduct_gen(g).terms.items():
-        lhs = lhs + Tensor.of(phi_element(IElement({lm: 1})),
-                              phi_element(IElement({rm: 1}))) * c
-    rhs = coproduct_bar(phi(g))
-    return (lhs - rhs).is_zero()
+    lhs = (i_coproduct_gen(g)
+           .map_slot(0, _phi_monomial, sort=HBAR)
+           .map_slot(1, _phi_monomial, sort=HBAR))
+    return lhs == coproduct_bar(phi(g))
 
 
 def canonical_symbol(indices, weights) -> IGenerator:

@@ -102,6 +102,19 @@ class Tensor(LinComb):
         return "<tensor %s>" % " + ".join(bits)
 
 
+def grouplike_ok(keys, entry, cop):
+    """The matrix M[i][j] = entry(i, j) on keys is grouplike under the
+    coproduct cop: cop(M[i][j]) == sum over k of M[k][j] (x) M[i][k]."""
+    for i in keys:
+        for j in keys:
+            diff = cop(entry(i, j))
+            for k in keys:
+                diff = diff - Tensor.of(entry(k, j), entry(i, k))
+            if diff:
+                return False
+    return True
+
+
 # ---------------------------------------------------------------------------
 # weight-one letters
 #

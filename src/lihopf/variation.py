@@ -27,7 +27,7 @@ from .algebra import (Element, H, HBAR, ZERO_VECTOR, gen_elem,
 from .coproduct import antipode, coproduct
 from .forms import Form, Poly, element_to_poly, poly_to_element, w_element
 from .lincomb import collect, memo
-from .tensor import Tensor, derive
+from .tensor import derive
 
 
 def enumerate_keys(nvec):
@@ -165,20 +165,6 @@ def nilpotent_exp(M, one, zero, negate=False):
 
 # ---------------------------------------------------------------------------
 # structural laws
-
-def comultiplicative_ok(V):
-    """coproduct(V[v][z]) == sum over w of V[w][z] (x) V[v][w]."""
-    sorts = (V.sort, V.sort)
-    for v in V.keys:
-        for z in V.keys:
-            lhs = coproduct(V.entry(v, z))
-            rhs = Tensor.zero(sorts)
-            for w in V.keys:
-                rhs = rhs + Tensor.of(V.entry(w, z), V.entry(v, w))
-            if not (lhs - rhs).is_zero():
-                return False
-    return True
-
 
 def antipode_ok(V):
     """sum over w of S(V[w][z]) * V[v][w] == delta(v, z)."""

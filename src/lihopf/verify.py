@@ -16,6 +16,7 @@ import random
 import time
 from dataclasses import dataclass, field
 from fractions import Fraction
+from functools import partial
 
 from . import expr
 from .algebra import (
@@ -58,16 +59,18 @@ from .iterint import (
     ZERO,
     canonical_symbol,
     is_polylogarithmic,
+    i_coproduct,
     phi,
     phi_morphism_ok,
-    subsequence_comultiplicative_ok,
+    subsequence_entry,
+    subsequence_keys,
 )
-from .tensor import Tensor, WordSum, project_pi, symbol, u_, v_
+from .tensor import (Tensor, WordSum, grouplike_ok, project_pi, symbol, u_,
+                     v_)
 from .variation import (
     antipode_ok,
     build_V,
     chain_map_ok,
-    comultiplicative_ok,
     corollary_form_ok,
     curvature_identity_ok,
     derivation_ok,
@@ -526,7 +529,7 @@ def _suite_variation(rep, max_weight=None, max_depth=None, seed=0):
         for sort in (H, HBAR):
             V = build_V(nvec, sort)
             rep.check("transpose of V%s is grouplike [%s]" % (nvec, sort),
-                      comultiplicative_ok(V))
+                      grouplike_ok(V.keys, V.entry, coproduct))
             rep.check("antipode inverts V%s [%s]" % (nvec, sort),
                       antipode_ok(V))
             if sort == H:
@@ -619,7 +622,9 @@ def _suite_iterint(rep, max_weight=None, max_depth=None, seed=0):
     for points in bases:
         rep.check("subsequence matrix is grouplike on %d points"
                   % len(points),
-                  subsequence_comultiplicative_ok(points))
+                  grouplike_ok(subsequence_keys(len(points)),
+                               partial(subsequence_entry, points),
+                               i_coproduct))
 
     mw = 3 if max_weight is None else max_weight
     md = 2 if max_depth is None else max_depth

@@ -201,7 +201,7 @@ def test_w_element_hands_out_copies_of_its_memo():
 
 def test_w_element_is_defined_on_the_plain_sort_only():
     for e in [gen_elem(li((1, 2), (2,), inverted=True)),
-              Element.from_generator(li((1, 2), (2,)), HBAR)]:
+              gen_elem(li((1, 2), (2,)), HBAR)]:
         with pytest.raises(ValueError,
                            match="the symbol is defined on the plain sort"):
             w_element(e)

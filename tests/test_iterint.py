@@ -3,15 +3,14 @@
 import itertools
 import math
 from fractions import Fraction as F
+from functools import partial
 
 import pytest
 
-from lihopf.algebra import HBAR, Element, expand_log, gen_elem, li, log
-from lihopf.coproduct import coproduct_bar
+from lihopf.algebra import HBAR, ITER, Element, expand_log, gen_elem, li, log
+from lihopf.coproduct import coproduct, coproduct_bar
 from lihopf.iterint import (
-    IElement,
     IGenerator,
-    ITensor,
     InvProduct,
     ONE,
     ZERO,
@@ -20,22 +19,19 @@ from lihopf.iterint import (
     gamma_gen,
     i_coproduct,
     i_coproduct_gen,
+    integral,
     is_polylogarithmic,
     phi,
     phi_element,
     phi_morphism_ok,
-    subsequence_comultiplicative_ok,
     subsequence_entry,
     subsequence_keys,
 )
+from lihopf.tensor import Tensor, grouplike_ok
 
 
 def ig(start, word, end):
     return IGenerator(start, tuple(word), end)
-
-
-def one_gen(g):
-    return IElement.of(g)
 
 
 # ---------------------------------------------------------------------------
@@ -63,8 +59,8 @@ def test_points_and_symbols_are_tuples():
     assert sorted(syms) == [syms[2], syms[1], syms[0]]
     for x in points + syms:
         assert hash(x) == hash(tuple(x))
-    assert IElement.of(syms[0]) * IElement.of(syms[2]) == IElement(
-        {(syms[2], syms[0]): 1})
+    assert integral(syms[0]) * integral(syms[2]) == Element(
+        ITER, {(syms[2], syms[0]): 1})
 
 
 def test_point_and_symbol_reprs():
@@ -76,13 +72,13 @@ def test_point_and_symbol_reprs():
 
 
 def test_empty_word_is_unit():
-    assert IElement.of(ig(ONE, (), InvProduct(1, 1))) == IElement.unit()
+    assert integral(ig(ONE, (), InvProduct(1, 1))) == Element.one(ITER)
 
 
 def test_element_ring():
     g1 = ig(ZERO, (InvProduct(1, 1),), ONE)
     g2 = ig(ZERO, (InvProduct(2, 2),), ONE)
-    a, b = IElement.of(g1), IElement.of(g2)
+    a, b = integral(g1), integral(g2)
     assert a * b == b * a
     assert (a + b) * (a - b) == a * a - b * b
     assert (a - a).is_zero()
@@ -96,12 +92,12 @@ def test_coproduct_weight_two_has_four_terms():
     # keep any subset of the two interior letters; empty segments drop out
     a1, a2 = InvProduct(1, 2), InvProduct(2, 2)
     g = ig(ZERO, (a1, a2), ONE)
-    unit = IElement.unit()
+    unit = Element.one(ITER)
     want = (
-        ITensor.of(unit, one_gen(g))
-        + ITensor.of(one_gen(ig(ZERO, (a1,), ONE)), one_gen(ig(a1, (a2,), ONE)))
-        + ITensor.of(one_gen(ig(ZERO, (a2,), ONE)), one_gen(ig(ZERO, (a1,), a2)))
-        + ITensor.of(one_gen(g), unit)
+        Tensor.of(unit, integral(g))
+        + Tensor.of(integral(ig(ZERO, (a1,), ONE)), integral(ig(a1, (a2,), ONE)))
+        + Tensor.of(integral(ig(ZERO, (a2,), ONE)), integral(ig(ZERO, (a1,), a2)))
+        + Tensor.of(integral(g), unit)
     )
     assert i_coproduct_gen(g) == want
 
@@ -115,7 +111,7 @@ def test_coproduct_counts_zero_letters():
 def test_coproduct_multiplicative():
     g1 = ig(ZERO, (InvProduct(1, 1),), ONE)
     g2 = ig(ZERO, (InvProduct(2, 2),), ONE)
-    e = IElement.of(g1) * IElement.of(g2)
+    e = integral(g1) * integral(g2)
     assert i_coproduct(e) == i_coproduct_gen(g1) * i_coproduct_gen(g2)
 
 
@@ -131,8 +127,8 @@ def test_subsequence_entry_golden():
     # segments of (0,1,3,4,5) cut at (0,3,5): two factors, hand-checked
     a = [ZERO, InvProduct(1, 3), InvProduct(2, 3), ZERO, InvProduct(3, 3), ONE]
     got = subsequence_entry(a, (0, 1, 3, 4, 5), (0, 3, 5))
-    want = (one_gen(ig(a[0], (a[1],), a[3]))
-            * one_gen(ig(a[3], (a[4],), a[5])))
+    want = (integral(ig(a[0], (a[1],), a[3]))
+            * integral(ig(a[3], (a[4],), a[5])))
     assert got == want
 
 
@@ -143,7 +139,27 @@ def test_subsequence_entry_requires_subsequence():
 
 def test_subsequence_diagonal_is_unit():
     a = [ZERO, InvProduct(1, 2), ONE]
-    assert subsequence_entry(a, (0, 1, 2), (0, 1, 2)) == IElement.unit()
+    assert subsequence_entry(a, (0, 1, 2), (0, 1, 2)) == Element.one(ITER)
+
+
+def test_perturbed_subsequence_matrix_is_not_grouplike():
+    points = [ZERO, InvProduct(1, 2), InvProduct(2, 2), ONE]
+    keys = subsequence_keys(len(points))
+    entry = partial(subsequence_entry, points)
+    bad_key = ((0, 1, 2, 3), (0, 1, 3))
+    assert not entry(*bad_key).is_zero()
+
+    def perturbed(i, j):
+        e = entry(i, j)
+        return e + e if (i, j) == bad_key else e
+
+    assert not grouplike_ok(keys, perturbed, i_coproduct)
+
+
+def test_symbols_have_no_bracket_coproduct():
+    e = integral(ig(ZERO, (InvProduct(1, 1),), ONE))
+    with pytest.raises(ValueError, match="no bracket coproduct on sort 'I'"):
+        coproduct(e)
 
 
 @pytest.mark.parametrize("points", [
@@ -153,7 +169,8 @@ def test_subsequence_diagonal_is_unit():
     [InvProduct(1, 2), ZERO, InvProduct(2, 2), ZERO, ONE],
 ])
 def test_subsequence_matrix_comultiplicative(points):
-    assert subsequence_comultiplicative_ok(points)
+    keys = subsequence_keys(len(points))
+    assert grouplike_ok(keys, partial(subsequence_entry, points), i_coproduct)
 
 
 # ---------------------------------------------------------------------------
@@ -163,8 +180,8 @@ def test_gamma_two_gap_golden():
     # I(c; 0; 1) splits at either side of the interior zero, hand-checked
     c = InvProduct(1, 1)
     g = ig(c, (ZERO,), ONE)
-    want = (one_gen(ig(c, (), ZERO)) * one_gen(ig(ZERO, (ZERO,), ONE))
-            + one_gen(ig(c, (ZERO,), ZERO)) * one_gen(ig(ZERO, (), ONE)))
+    want = (integral(ig(c, (), ZERO)) * integral(ig(ZERO, (ZERO,), ONE))
+            + integral(ig(c, (ZERO,), ZERO)) * integral(ig(ZERO, (), ONE)))
     assert gamma_gen(g) == want
 
 
@@ -172,7 +189,7 @@ def test_gamma_fixes_canonical_symbols():
     # a symbol already based at 0 only splits trivially
     for idx, wts in [((1, 2), (2,)), ((1, 2, 3), (1, 1))]:
         g = canonical_symbol(idx, wts)
-        assert gamma_gen(g) == IElement.of(g)
+        assert gamma_gen(g) == integral(g)
 
 
 def test_gamma_drops_degenerate_pieces():
@@ -187,8 +204,8 @@ def test_gamma_drops_degenerate_pieces():
 def test_gamma_multiplicative():
     g1 = ig(InvProduct(1, 2), (ZERO, InvProduct(2, 2)), ONE)
     g2 = ig(ONE, (ZERO, InvProduct(1, 1)), ZERO)
-    e = IElement.of(g1) * IElement.of(g2)
-    assert gamma(e) == gamma(IElement.of(g1)) * gamma(IElement.of(g2))
+    e = integral(g1) * integral(g2)
+    assert gamma(e) == gamma(integral(g1)) * gamma(integral(g2))
 
 
 @pytest.mark.parametrize("g", [
@@ -340,7 +357,7 @@ def test_phi_leading_zeros_closed_form(n0, ps, wts, top):
 def test_phi_multiplicative_on_monomials():
     g1 = canonical_symbol((1, 2), (1,))
     g2 = ig(ONE, (ZERO,), InvProduct(1, 1))
-    e = IElement.of(g1) * IElement.of(g2)
+    e = integral(g1) * integral(g2)
     assert (phi_element(e) - phi(g1) * phi(g2)).is_zero()
 
 
@@ -389,9 +406,8 @@ def test_morphism_spelled_out_weight_two():
     g = canonical_symbol((1, 2), (2,))
     lhs = None
     for (lm, rm), c in i_coproduct_gen(g).terms.items():
-        from lihopf.tensor import Tensor
-        t = Tensor.of(phi_element(IElement({lm: 1})),
-                      phi_element(IElement({rm: 1}))) * c
+        t = Tensor.of(phi_element(Element(ITER, {lm: 1})),
+                      phi_element(Element(ITER, {rm: 1}))) * c
         lhs = t if lhs is None else lhs + t
     assert (lhs - coproduct_bar(phi(g))).is_zero()
 
@@ -407,4 +423,4 @@ def test_phi_cached_value_is_read_only():
         x.terms[()] = F(1)
     assert phi(g) is x
     assert phi(g) == want
-    assert phi_element(IElement({(g,): 1})) == want
+    assert phi_element(Element(ITER, {(g,): 1})) == want

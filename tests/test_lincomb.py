@@ -1,5 +1,7 @@
 """The shared sparse-combination core: the group laws of addition, zero
-pruning and shape-aware equality, checked on all eight algebras."""
+pruning and shape-aware equality, checked on all six algebras, with
+elements and tensors drawn over the bracket sort H and the symbol sort
+I."""
 
 import json
 from fractions import Fraction
@@ -7,10 +9,10 @@ from fractions import Fraction
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from lihopf.algebra import H, HBAR, Element, li, log
+from lihopf.algebra import H, HBAR, ITER, Element, gen_elem, li, log
 from lihopf.expr import element_document
 from lihopf.forms import Form, Poly
-from lihopf.iterint import ONE, ZERO, IElement, IGenerator, InvProduct, ITensor
+from lihopf.iterint import ONE, ZERO, IGenerator, InvProduct
 from lihopf.lincomb import LinComb, as_fraction
 from lihopf.series import TruncatedSeries
 from lihopf.tensor import Tensor, WordSum, u_, v_
@@ -43,8 +45,9 @@ POLYS = _combos(_mons(LETTERS), Poly)
 FORMS = st.dictionaries(st.sampled_from([(s,) for s in LETTERS]), POLYS,
                         max_size=3).map(lambda t: Form(1, t))
 I_MONS = _mons(IGENS)
-IELEMENTS = _combos(I_MONS, IElement)
-ITENSORS = _combos(st.tuples(I_MONS, I_MONS), ITensor)
+I_ELEMENTS = _combos(I_MONS, lambda t: Element(ITER, t))
+I_TENSORS = _combos(st.tuples(I_MONS, I_MONS),
+                    lambda t: Tensor((ITER, ITER), t))
 SERIES_CAPS = (2, 1)
 SERIES = st.tuples(st.dictionaries(
     st.tuples(st.integers(0, 2), st.integers(0, 1)), ELEMENTS,
@@ -53,7 +56,7 @@ SERIES = st.tuples(st.dictionaries(
 
 ALGEBRAS = {
     "Element": ELEMENTS, "Tensor": TENSORS, "WordSum": WORDS, "Poly": POLYS,
-    "Form": FORMS, "IElement": IELEMENTS, "ITensor": ITENSORS,
+    "Form": FORMS, "Element-I": I_ELEMENTS, "Tensor-I": I_TENSORS,
     "TruncatedSeries": SERIES,
 }
 
@@ -114,8 +117,9 @@ def test_int_and_fraction_coefficients_give_equal_results(name):
         for x, y in pairs:
             assert x == y and y == x
             if isinstance(x, Element):
-                assert (json.dumps(element_document(x))
-                        == json.dumps(element_document(y)))
+                if x.sort != ITER:  # no CLI path renders a symbol
+                    assert (json.dumps(element_document(x))
+                            == json.dumps(element_document(y)))
                 assert str(x) == str(y)
 
     check()
@@ -129,7 +133,7 @@ def test_form_product_is_the_wedge_and_a_poly_scales(f, g, p):
 
 
 def test_equality_depends_on_shape():
-    e = Element.from_generator(log(1), H)
+    e = gen_elem(log(1), H)
     t = Tensor.of(e, e)
     assert Tensor((H, HBAR), t.terms) != t
     assert Tensor((H, H), t.terms) == t
@@ -152,7 +156,7 @@ def test_equality_depends_on_shape():
 
 
 def test_series_sum_keeps_the_left_truncation():
-    x = Element.from_generator(log(1), H)
+    x = gen_elem(log(1), H)
     tight = TruncatedSeries(H, (1, 1), 1)
     loose = TruncatedSeries(H, (3, 3), 4,
                             terms={(a, b): x for a in range(4)
@@ -179,9 +183,9 @@ def test_as_fraction_is_the_only_scalar_coercion():
                      lambda c: WordSum({(): c}),
                      lambda c: Poly({(): c}),
                      lambda c: Form(0, {(): c}),
-                     lambda c: IElement({(): c}),
-                     lambda c: ITensor({((), ()): c})):
+                     lambda c: Element(ITER, {(): c}),
+                     lambda c: Tensor((ITER, ITER), {((), ()): c})):
             with pytest.raises(TypeError):
                 make(bad)
     with pytest.raises(TypeError):
-        IElement.unit() * 0.5
+        Element.one(ITER) * 0.5

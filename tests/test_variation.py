@@ -8,13 +8,12 @@ from click.testing import CliRunner
 
 from lihopf import cli
 from lihopf.algebra import (H, HBAR, Element, expand_log, gen_elem, li, log)
-from lihopf.coproduct import reduced_coproduct
+from lihopf.coproduct import coproduct, reduced_coproduct
 from lihopf.forms import (Form, Poly, point_residual, poly_to_element,
                           sample_point, tangent_basis, w_element)
-from lihopf.tensor import u_, v_
+from lihopf.tensor import grouplike_ok, u_, v_
 from lihopf.variation import (VariationMatrix, antipode_ok, build_V,
-                              chain_map_ok, comultiplicative_ok,
-                              corollary_form_ok,
+                              chain_map_ok, corollary_form_ok,
                               curvature_identity_ok, derivation_ok,
                               enumerate_keys, hat_derivation_ok, omega_hat,
                               omega_form_matrix, omega_matrix, recurrence_ok,
@@ -239,7 +238,20 @@ NVECS_FAST = [(2,), (1, 1), (2, 1), (1, 2)]
 def test_comultiplicativity_both_sorts():
     for nv in NVECS_FAST:
         for sort in (H, HBAR):
-            assert comultiplicative_ok(build_V(nv, sort)), (nv, sort)
+            V = build_V(nv, sort)
+            assert grouplike_ok(V.keys, V.entry, coproduct), (nv, sort)
+
+
+def test_perturbed_V_is_not_grouplike():
+    V = build_V((2, 1), H)
+    bad_key = ((2, 1), (1, 1))
+    assert not V.entry(*bad_key).is_zero()
+
+    def perturbed(v, w):
+        e = V.entry(v, w)
+        return e + e if (v, w) == bad_key else e
+
+    assert not grouplike_ok(V.keys, perturbed, coproduct)
 
 
 def test_antipode_identity_both_sorts():
