@@ -102,25 +102,22 @@ def _bracket_series(shape, indices, targs, inverted):
     if not targs:
         return one
     lfs = [one.linear_form(t) for t in targs]
-    out = [shape._like()]
 
-    def rec(u, weights, acc):
+    def terms(u, weights, acc):
         if u == len(targs):
-            out[0] = out[0] + acc * gen_elem(li(indices, weights, inverted),
-                                             shape.sort)
+            yield acc * gen_elem(li(indices, weights, inverted), shape.sort)
             return
         cur = acc
         m = 1
         while True:
-            rec(u + 1, weights + (m,), cur)
+            yield from terms(u + 1, weights + (m,), cur)
             nxt = cur * lfs[u]
             if not nxt.terms:
                 break
             cur = nxt
             m += 1
 
-    rec(0, (), one)
-    return out[0]
+    return shape._like().sum(terms(0, (), one))
 
 
 def _ij_choices(d):
@@ -147,57 +144,59 @@ def _coproduct_bar_generator(g):
         return (Tensor.of(e, one) + Tensor.of(one, e)).frozen()
 
     letters, caps = _display_letters(g)
-    d = len(letters)
     shape = TruncatedSeries(HBAR, caps)
-    target = caps
-    out = Tensor.zero((HBAR, HBAR))
+    return Tensor.zero((HBAR, HBAR)).sum(
+        term for pairs in _ij_choices(len(letters))
+        for term in _bar_terms(letters, shape, pairs)).frozen()
 
-    for pairs in _ij_choices(d):
-        # ---- left tensor factor: merged windows at the marked variables
-        left_block = []
-        for a, (i, j) in enumerate(pairs):
-            i_next = pairs[a + 1][0] if a + 1 < len(pairs) else d + 1
-            w, inv = _merge(letters, i, i_next)
-            left_block.append((w, inv, [(j - 1, 1)]))
-        L = _bracket_series(shape, *_normalize_block(left_block))
 
-        # ---- right tensor factor: one block per marked slot, plus the
-        # unmarked prefix (the boundary block always sits at j_0 = 0, since
-        # any other choice puts the unit letter inside a bracket)
-        sign = 1
-        i1 = pairs[0][0] if pairs else d + 1
-        pre = [(letters[r - 1][0], letters[r - 1][1], [(r - 1, 1)])
-               for r in range(1, i1)]
-        R = _bracket_series(shape, *_normalize_block(pre))
-        for a, (i, j) in enumerate(pairs):
-            i_next = pairs[a + 1][0] if a + 1 < len(pairs) else d + 1
-            sign *= (-1) ** (j - i)
-            w, inv = _merge(letters, i, i_next)
-            R = R * shape.exp_linear(
-                expand_log(w[0], w[1], HBAR, inverse=inv), [(j - 1, 1)])
-            # letters strictly between i and j, inverted, seen from t_j
-            invblock = [(letters[r - 1][0], not letters[r - 1][1],
-                         [(j - 1, 1), (r - 1, -1)])
-                        for r in range(j - 1, i - 1, -1)]
-            nb = _normalize_block(invblock)
-            R = R * _bracket_series(shape, *nb)
-            # letters strictly between j and the next i, regular, from t_j
-            regblock = [(letters[r - 1][0], letters[r - 1][1],
-                         [(r - 1, 1), (j - 1, -1)])
-                        for r in range(j + 1, i_next)]
-            R = R * _bracket_series(shape, *_normalize_block(regblock))
+def _bar_terms(letters, shape, pairs):
+    """The tensors that one (i, j) choice adds to the coproduct of the
+    bracket with these display letters, read at t^caps."""
+    d = len(letters)
+    # ---- left tensor factor: merged windows at the marked variables
+    left_block = []
+    for a, (i, j) in enumerate(pairs):
+        i_next = pairs[a + 1][0] if a + 1 < len(pairs) else d + 1
+        w, inv = _merge(letters, i, i_next)
+        left_block.append((w, inv, [(j - 1, 1)]))
+    L = _bracket_series(shape, *_normalize_block(left_block))
 
-        scale = sign if L.den == 1 else Fraction(sign, L.den)
-        for e, ce in L.terms.items():
-            f = tuple(t - x for t, x in zip(target, e))
-            if any(x < 0 for x in f):
-                continue
-            cf = R.coefficient(f)
-            if cf.is_zero():
-                continue
-            out = out + Tensor.of(ce, cf) * scale
+    # ---- right tensor factor: one block per marked slot, plus the
+    # unmarked prefix (the boundary block always sits at j_0 = 0, since
+    # any other choice puts the unit letter inside a bracket)
+    sign = 1
+    i1 = pairs[0][0] if pairs else d + 1
+    pre = [(letters[r - 1][0], letters[r - 1][1], [(r - 1, 1)])
+           for r in range(1, i1)]
+    R = _bracket_series(shape, *_normalize_block(pre))
+    for a, (i, j) in enumerate(pairs):
+        i_next = pairs[a + 1][0] if a + 1 < len(pairs) else d + 1
+        sign *= (-1) ** (j - i)
+        w, inv = _merge(letters, i, i_next)
+        R = R * shape.exp_linear(
+            expand_log(w[0], w[1], HBAR, inverse=inv), [(j - 1, 1)])
+        # letters strictly between i and j, inverted, seen from t_j
+        invblock = [(letters[r - 1][0], not letters[r - 1][1],
+                     [(j - 1, 1), (r - 1, -1)])
+                    for r in range(j - 1, i - 1, -1)]
+        nb = _normalize_block(invblock)
+        R = R * _bracket_series(shape, *nb)
+        # letters strictly between j and the next i, regular, from t_j
+        regblock = [(letters[r - 1][0], letters[r - 1][1],
+                     [(r - 1, 1), (j - 1, -1)])
+                    for r in range(j + 1, i_next)]
+        R = R * _bracket_series(shape, *_normalize_block(regblock))
 
-    return out.frozen()
+    scale = sign if L.den == 1 else Fraction(sign, L.den)
+    for e, ce in L.terms.items():
+        f = tuple(t - x for t, x in zip(shape.caps, e))
+        if any(x < 0 for x in f):
+            continue
+        cf = R.coefficient(f)
+        if cf.is_zero():
+            continue
+        yield Tensor.of(ce, cf) * scale
 
 
 def coproduct_bar(e):
@@ -247,44 +246,42 @@ def _inv_series_on(p, vars_, caps, total):
     m = len(p) - 1
     if m == 0:
         return shape.constant(1).frozen()
-
-    out = shape
     full_log = expand_log(p[0], p[-1], H)
 
-    # leading sum: inverted head of length j times the regular tail
-    for j in range(0, m):
-        sgn = (-1) ** (m - 1 + j)
-        A = shape._conform(_inv_series(p[:j + 1], vars_[:j], shape))
-        B = _bracket_series(shape, p[j:], [[(v, 1)] for v in vars_[j:]],
-                            False)
-        out = out + A * B * sgn
+    def terms():
+        # leading sum: inverted head of length j times the regular tail
+        for j in range(0, m):
+            sgn = (-1) ** (m - 1 + j)
+            A = shape._conform(_inv_series(p[:j + 1], vars_[:j], shape))
+            B = _bracket_series(shape, p[j:], [[(v, 1)] for v in vars_[j:]],
+                                False)
+            yield A * B * sgn
 
-    # pole pairs: the two sums over j with 1/t_j prefactors cancel exactly
-    # at t_j = 0, so each pair is combined first and divided afterwards
-    for j in range(1, m + 1):
-        sgn = (-1) ** (m - 1 + j)
-        tj = vars_[j - 1]
-        ncaps = caps[:tj] + (caps[tj] + 1,) + caps[tj + 1:]
-        nshape = TruncatedSeries(H, ncaps, total + 1)
-        acaps = tuple(c + ncaps[tj] for c in ncaps)
-        A = _inv_series(p[:j], vars_[:j - 1],
-                        TruncatedSeries(H, acaps, total + 1))
-        B = _bracket_series(nshape, p[j:],
-                            [[(v, 1)] for v in vars_[j:]], False)
-        N = nshape._conform(A) * B
-        images = {v: [(v, 1)] for v in range(len(caps))}
-        for r in range(j - 1):
-            images[vars_[r]] = [(vars_[r], 1), (tj, -1)]
-        Ap = A.substitute(images, nshape)
-        E = nshape.exp_linear(full_log, [(tj, 1)])
-        Bp = _bracket_series(nshape, p[j:],
-                             [[(vars_[r], 1), (tj, -1)] for r in range(j, m)],
-                             False)
-        N = N - Ap * E * Bp
-        N = N.divide_var(tj)   # raises if the cancellation at t_j=0 failed
-        out = out + N * sgn
+        # pole pairs: the two sums over j with 1/t_j prefactors cancel
+        # exactly at t_j = 0, so each pair is combined first and divided
+        # afterwards
+        for j in range(1, m + 1):
+            sgn = (-1) ** (m - 1 + j)
+            tj = vars_[j - 1]
+            ncaps = caps[:tj] + (caps[tj] + 1,) + caps[tj + 1:]
+            nshape = TruncatedSeries(H, ncaps, total + 1)
+            acaps = tuple(c + ncaps[tj] for c in ncaps)
+            A = _inv_series(p[:j], vars_[:j - 1],
+                            TruncatedSeries(H, acaps, total + 1))
+            B = _bracket_series(nshape, p[j:],
+                                [[(v, 1)] for v in vars_[j:]], False)
+            N = nshape._conform(A) * B
+            images = {v: [(v, 1)] for v in range(len(caps))}
+            for r in range(j - 1):
+                images[vars_[r]] = [(vars_[r], 1), (tj, -1)]
+            Ap = A.substitute(images, nshape)
+            E = nshape.exp_linear(full_log, [(tj, 1)])
+            Bp = _bracket_series(nshape, p[j:], [[(vars_[r], 1), (tj, -1)]
+                                                 for r in range(j, m)], False)
+            N = N - Ap * E * Bp
+            yield N.divide_var(tj) * sgn  # raises if t_j = 0 left a pole
 
-    return out.frozen()
+    return shape.sum(terms()).frozen()
 
 
 @memo
@@ -364,11 +361,10 @@ def cobracket_rep(e):
 @memo
 def _antipode_generator(g, sort):
     e = gen_elem(g, sort)
-    acc = -e
-    for (ml, mr), c in reduced_coproduct(e).terms.items():
-        acc = acc - (antipode(Element.from_monomial(ml, sort))
-                     * Element.from_monomial(mr, sort)) * c
-    return acc.frozen()
+    return (-e).sum(antipode(Element.from_monomial(ml, sort))
+                    * Element.from_monomial(mr, sort) * -c
+                    for (ml, mr), c in reduced_coproduct(e).terms.items()
+                    ).frozen()
 
 
 def antipode(e):

@@ -23,7 +23,7 @@ import re
 from fractions import Fraction
 from json.encoder import encode_basestring_ascii as _json_str
 
-from .algebra import (H, LOG, Element, gen_elem, li, log, monomial_str,
+from .algebra import (H, ITER, LOG, Element, gen_elem, li, log, monomial_str,
                       monomial_weight, text_sum)
 from .forms import Form, Poly
 from .tensor import Tensor, WordSum
@@ -200,10 +200,14 @@ def render(x, fmt):
     """x in format fmt (json, latex or text) by the renderer for its
     class, looked up in the module globals at call time so that a
     rebound renderer is the one called.  A value of any other class
-    (a scalar in a failure diff) renders as str(x)."""
+    (a scalar in a failure diff) renders as str(x).  Iterated-integral
+    symbols (sort I) render as text only."""
     kind = _KINDS.get(type(x))
     if kind is None:
         return str(x)
+    sorts = x.sorts if kind == "tensor" else (getattr(x, "sort", None),)
+    if fmt != "text" and ITER in sorts:
+        raise ValueError("no %s rendering of sort %r" % (fmt, ITER))
     return globals()[_RENDERER[fmt] % kind](x)
 
 

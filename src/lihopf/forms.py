@@ -15,6 +15,7 @@ All algebra is exact; floats appear only in the sampling layer.
 """
 
 import cmath
+import functools
 import itertools
 import math
 import random
@@ -262,11 +263,9 @@ def _pullback_images(c):
     images = {}
     dimages = {}
     for s in range(1, m + 1):
-        lo, hi = c[s - 1], c[s]
-        images[u_(s)] = sum((Poly.variable(u_(r)) for r in range(lo, hi)),
-                            Poly.zero())
-        dimages[u_(s)] = sum((Form.d_letter(u_(r)) for r in range(lo, hi)),
-                             Form.zero(1))
+        window = range(c[s - 1], c[s])
+        images[u_(s)] = Poly({(u_(r),): 1 for r in window})
+        dimages[u_(s)] = Form(1, {(u_(r),): Poly.one() for r in window})
         for t in range(s, m + 1):
             sym = v_(s, t)
             tgt = v_(c[s - 1], c[t] - 1)
@@ -282,13 +281,10 @@ def pullback_poly(c, p):
 
 def pullback_form(c, f):
     images, dimages = _pullback_images(tuple(c))
-    out = Form(f.degree)
-    for basis, p in f.terms.items():
-        piece = Form(0, {(): p.substitute(images)})
-        for sym in basis:
-            piece = piece.wedge(dimages[sym])
-        out = out + piece
-    return out
+    return Form(f.degree).sum(
+        functools.reduce(Form.wedge, [dimages[sym] for sym in basis],
+                         Form(0, {(): p.substitute(images)}))
+        for basis, p in f.terms.items())
 
 
 # ---------------------------------------------------------------------------

@@ -137,15 +137,12 @@ def i_coproduct_gen(g: IGenerator) -> Tensor:
     product of the symbols on the cut-out segments."""
     m = g.weight
     points = [g.start] + list(g.word) + [g.end]
-    out = Tensor.zero((ITER, ITER))
-    for k in range(m + 1):
-        for keep in itertools.combinations(range(1, m + 1), k):
-            left = integral(
-                IGenerator(g.start, tuple(points[i] for i in keep), g.end))
-            right = subsequence_entry(points, range(m + 2),
-                                      (0,) + keep + (m + 1,))
-            out = out + Tensor.of(left, right)
-    return out
+    keeps = (keep for k in range(m + 1)
+             for keep in itertools.combinations(range(1, m + 1), k))
+    return Tensor.zero((ITER, ITER)).sum(Tensor.of(
+        integral(IGenerator(g.start, tuple(points[i] for i in keep), g.end)),
+        subsequence_entry(points, range(m + 2), (0,) + keep + (m + 1,)))
+        for keep in keeps)
 
 
 def i_coproduct(e: Element) -> Tensor:
@@ -185,16 +182,11 @@ def subsequence_entry(points, iseq, jseq) -> Element:
 def gamma_gen(g: IGenerator) -> Element:
     """Split the path at the basepoint 0 in every position; pieces that
     begin and end at 0 with letters in between vanish."""
-    out = Element.zero(ITER)
-    for q in range(g.weight + 1):
-        head, tail = g.word[:q], g.word[q:]
-        if g.start == ZERO and head:
-            continue
-        if g.end == ZERO and tail:
-            continue
-        out = out + (integral(IGenerator(g.start, head, ZERO))
-                     * integral(IGenerator(ZERO, tail, g.end)))
-    return out
+    return Element.zero(ITER).sum(
+        integral(IGenerator(g.start, g.word[:q], ZERO))
+        * integral(IGenerator(ZERO, g.word[q:], g.end))
+        for q in range(g.weight + 1)
+        if not ((g.start == ZERO and q) or (g.end == ZERO and q < g.weight)))
 
 
 def gamma(e: Element) -> Element:
@@ -267,12 +259,10 @@ def _phi_series(start, letters, end, off, shape):
         if not lg.is_zero():
             out = out * shape.exp_linear(lg, [(off, 1)])
         return out
-    total = zero_series
-    for j in range(d + 1):
-        left = _phi_series(start, letters[:j], ZERO, off, shape)
-        right = _phi_series(ZERO, letters[j:], end, off + j, shape)
-        total = total + left * right
-    return total
+    return zero_series.sum(
+        _phi_series(start, letters[:j], ZERO, off, shape)
+        * _phi_series(ZERO, letters[j:], end, off + j, shape)
+        for j in range(d + 1))
 
 
 @memo

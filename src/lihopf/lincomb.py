@@ -39,6 +39,16 @@ negations of operands of one shape stay in that shape and skip it;
 public constructors and results whose shape the caller names (the target
 of ``linear`` and ``extend``) run it.
 
+Every sum is formed by one private loop, ``_accumulate``, which adds
+(key, coefficient) pairs into a dict in place and drops a key whose
+coefficient cancels.  ``LinComb._add`` (``+`` and ``-``), ``collect``
+(the terms of a sum of pairs) and ``LinComb.sum`` (self plus any number
+of combinations of its kind, into one dict) are the only ways a sum is
+formed.  A coefficient that is itself a combination (an Element of a
+series or of ``derive``, a Poly of a Form) is copied the first time its
+key repeats and grown in place after that, so a value that an operand or
+a memo holds is never written into.
+
 Structure maps are given on generators and extended by ``extend``
 (linear over terms, multiplicative over each monomial); maps given on
 keys are extended by ``linear``.  Maps whose values are fixed by their
@@ -48,6 +58,7 @@ per process by ``memo``; ``clear_caches`` empties every such memo.
 
 import functools
 from fractions import Fraction
+from itertools import chain
 from types import MappingProxyType
 
 
@@ -100,7 +111,10 @@ class LinComb:
         return self
 
     def _same_shape(self, other):
-        return all(getattr(self, n) == getattr(other, n) for n in self._shape)
+        for name in self._shape:
+            if getattr(self, name) != getattr(other, name):
+                return False
+        return True
 
     def _conform(self, other):
         """other brought to self's shape; by default shapes must agree."""
@@ -138,20 +152,24 @@ class LinComb:
 
     def _add(self, other, sign=1):
         terms = dict(self.terms)
-        get = terms.get
-        for k, c in other.terms.items():
-            if sign < 0:
-                c = -c
-            v = get(k)
-            if v is None:
-                terms[k] = c
-            else:
-                v = v + c
-                if v:
-                    terms[k] = v
-                else:
-                    del terms[k]
+        _accumulate(terms, other.terms.items(), sign)
         return self._new(terms)
+
+    def sum(self, parts):
+        """self plus every combination in parts, formed in one dict.  The
+        result has self's shape; a part of another shape is conformed to
+        it as ``+`` conforms its right operand.  With no parts, a copy of
+        self."""
+        terms = dict(self.terms)
+        _accumulate(terms, chain.from_iterable(
+            self._conformed(part).terms.items() for part in parts))
+        return self._new(terms)
+
+    def _conformed(self, part):
+        if part.__class__ is not self.__class__:
+            raise TypeError("cannot add %s to %s" % (
+                part.__class__.__name__, self.__class__.__name__))
+        return part if part._same_shape(self) else self._conform(part)
 
     def _mul(self, other):
         return self._new(self._mul_terms(other))
@@ -159,15 +177,9 @@ class LinComb:
     def _mul_terms(self, other):
         """The terms of the product of self and other, zeros dropped."""
         key = self._mul_key
-        terms = {}
-        get = terms.get
-        for k1, c1 in self.terms.items():
-            for k2, c2 in other.terms.items():
-                k = key(k1, k2)
-                if k is not None:
-                    v = get(k)
-                    terms[k] = c1 * c2 if v is None else v + c1 * c2
-        return _nonzero(terms)
+        return collect((k, c1 * c2) for k1, c1 in self.terms.items()
+                       for k2, c2 in other.terms.items()
+                       if (k := key(k1, k2)) is not None)
 
     def scale(self, c):
         """c * self for a scalar c, or a coefficient c of a series or
@@ -242,19 +254,44 @@ def clear_caches():
         cached.cache_clear()
 
 
-def _nonzero(terms):
-    return {k: v for k, v in terms.items() if v}
+def _accumulate(terms, pairs, sign=1):
+    """Add sign * c into terms[k] for every (k, c) of pairs, in place; a
+    zero c is skipped and a key whose coefficient cancels is dropped.  A
+    combination-valued coefficient is copied (``v + c``) the first time
+    its key repeats and grown in place after that: only the copies this
+    call made, the keys in ``grown``, are ever written into."""
+    get = terms.get
+    grown = ()
+    for k, c in pairs:
+        if sign < 0:
+            c = -c
+        v = get(k)
+        if v is None:
+            if c:
+                terms[k] = c
+        elif k in grown and c._same_shape(v):
+            _accumulate(v.terms, c.terms.items())
+            if not v.terms:
+                del terms[k]
+                grown.discard(k)
+        else:
+            total = v + c
+            if not total:
+                del terms[k]
+            else:
+                terms[k] = total
+                if isinstance(total, LinComb):
+                    if not grown:
+                        grown = set()
+                    grown.add(k)
 
 
 def collect(pairs):
     """The terms of the sum of (key, coefficient) pairs: coefficients of
     equal keys added, zero sums dropped."""
     terms = {}
-    get = terms.get
-    for k, c in pairs:
-        v = get(k)
-        terms[k] = c if v is None else v + c
-    return _nonzero(terms)
+    _accumulate(terms, pairs)
+    return terms
 
 
 def linear(x, image, zero):

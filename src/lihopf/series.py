@@ -15,11 +15,12 @@ positive exponent there).
 A series is ``terms / den``: integral Element numerators over one
 positive integer denominator, the layout of FLINT's ``fmpq_poly``.  The
 denominator is a value, not part of the shape.  A product multiplies
-the denominators, a sum rescales both sides to their lcm, and equality
-compares values across denominators.  Only ``exp_linear`` makes one
-other than 1 (``den = K!`` for its highest kept power ``K``), so the
-arithmetic on numerators stays in ints; ``coefficient`` divides, once
-per read, into canonical rationals.
+the denominators, a sum (``sum``, which ``+`` and ``-`` call) rescales
+every part to the lcm of the denominators, and equality compares values
+across denominators.  Only ``exp_linear`` makes one other than 1
+(``den = K!`` for its highest kept power ``K``), so the arithmetic on
+numerators stays in ints; ``coefficient`` divides, once per read, into
+canonical rationals.
 """
 
 from fractions import Fraction
@@ -27,7 +28,7 @@ from math import factorial, lcm
 from operator import add, le
 
 from .algebra import Element
-from .lincomb import LinComb, as_fraction
+from .lincomb import LinComb, as_fraction, collect
 
 
 def _divide(v, den):
@@ -112,10 +113,16 @@ class TruncatedSeries(LinComb):
         return self._new({e: c * f for e, c in self.terms.items()}, den)
 
     def _add(self, other, sign=1):
-        if self.den == other.den:
-            return LinComb._add(self, other, sign)
-        den = lcm(self.den, other.den)
-        return LinComb._add(self._rescaled(den), other._rescaled(den), sign)
+        return self.sum((other if sign > 0 else -other,))
+
+    def sum(self, parts):
+        """The one rule for adding series: every part, conformed to self's
+        truncation, is rescaled to the lcm of the denominators, and the
+        numerators are summed in one dict."""
+        parts = [self._conformed(part) for part in parts]
+        den = lcm(self.den, *[part.den for part in parts])
+        return LinComb.sum(self._rescaled(den),
+                           [part._rescaled(den) for part in parts])
 
     def _mul(self, other):
         return self._new(self._mul_terms(other), self.den * other.den)
@@ -137,13 +144,9 @@ class TruncatedSeries(LinComb):
 
     def linear_form(self, pairs):
         """sum of c * t_v for (v, c) in pairs, as a series shaped like self."""
-        terms = {}
-        for v, c in pairs:
-            e = [0] * len(self.caps)
-            e[v] = 1
-            e = tuple(e)
-            terms[e] = terms.get(e, 0) + c
-        return self._like(terms)
+        n = len(self.caps)
+        return self._like(collect(
+            ((0,) * v + (1,) + (0,) * (n - 1 - v), c) for v, c in pairs))
 
     def exp_linear(self, value, pairs):
         """exp(value * linear_form(pairs)), truncated.  value is an Element.
@@ -170,18 +173,20 @@ class TruncatedSeries(LinComb):
         """Replace variable v by the linear form images[v] (list of (var,
         coeff) pairs over the variables of ``target``), truncated like
         ``target``.  Homogeneous, hence truncation-exact."""
-        out = target._like()
         lin_cache = {}
-        for e, c in self.terms.items():
-            piece = target.constant(c)
+
+        def piece(e, c):
+            out = target.constant(c)
             for v, k in enumerate(e):
                 if not k:
                     continue
                 if v not in lin_cache:
                     lin_cache[v] = target.linear_form(images[v])
                 for _ in range(k):
-                    piece = piece * lin_cache[v]
-            out = out + piece
+                    out = out * lin_cache[v]
+            return out
+
+        out = target._like().sum(piece(e, c) for e, c in self.terms.items())
         return out._new(out.terms, self.den)
 
     def divide_var(self, v):

@@ -15,6 +15,7 @@ coproduct or the inversion map.
 
 import functools
 from fractions import Fraction
+from itertools import chain
 from types import MappingProxyType
 
 from .algebra import (
@@ -62,27 +63,35 @@ class Tensor(LinComb):
     # wraps them per class
     __mul__ = __rmul__ = LinComb.__mul__
 
+    def _slot_images(self, k, fn):
+        """fn of each distinct monomial in slot k, computed once."""
+        slot = dict.fromkeys(mons[k] for mons in self.terms)
+        return {mon: fn(mon) for mon in slot}
+
     def map_slot(self, k, fn, sort=None):
         """Apply a linear map (given on monomials, returning Elements) in
         slot k."""
         new_sorts = list(self.sorts)
         if sort is not None:
             new_sorts[k] = sort
+        images = self._slot_images(k, fn)
         return Tensor(new_sorts)._new(collect(
             (mons[:k] + (mon,) + mons[k + 1:], c * c2)
             for mons, c in self.terms.items()
-            for mon, c2 in fn(mons[k]).terms.items()))
+            for mon, c2 in images[mons[k]].terms.items()))
 
     def expand_slot(self, k, fn):
         """Replace slot k via a map from monomials to Tensors (splicing the
         result's slots in place of slot k)."""
         if not self.terms:
             raise ValueError("cannot expand a slot of the zero tensor")
-        images = [(mons, c, fn(mons[k])) for mons, c in self.terms.items()]
-        sorts = self.sorts[:k] + images[0][2].sorts + self.sorts[k + 1:]
+        images = self._slot_images(k, fn)
+        sorts = (self.sorts[:k] + next(iter(images.values())).sorts
+                 + self.sorts[k + 1:])
         return Tensor(sorts)._new(collect(
             (mons[:k] + mid + mons[k + 1:], c * c2)
-            for mons, c, img in images for mid, c2 in img.terms.items()))
+            for mons, c in self.terms.items()
+            for mid, c2 in images[mons[k]].terms.items()))
 
     def contract(self, sort):
         """Multiply all slots together into a single Element."""
@@ -107,10 +116,9 @@ def grouplike_ok(keys, entry, cop):
     coproduct cop: cop(M[i][j]) == sum over k of M[k][j] (x) M[i][k]."""
     for i in keys:
         for j in keys:
-            diff = cop(entry(i, j))
-            for k in keys:
-                diff = diff - Tensor.of(entry(k, j), entry(i, k))
-            if diff:
+            lhs = cop(entry(i, j))
+            if lhs != Tensor.zero(lhs.sorts).sum(
+                    Tensor.of(entry(k, j), entry(i, k)) for k in keys):
                 return False
     return True
 
@@ -187,14 +195,9 @@ def shuffle_words(w1, w2):
     mapping from word to multiplicity."""
     if not w1 or not w2:
         return MappingProxyType({w1 + w2: 1})
-    out = {}
-    for w, m in shuffle_words(w1[1:], w2).items():
-        k = (w1[0],) + w
-        out[k] = out.get(k, 0) + m
-    for w, m in shuffle_words(w1, w2[1:]).items():
-        k = (w2[0],) + w
-        out[k] = out.get(k, 0) + m
-    return MappingProxyType(out)
+    return MappingProxyType(collect(chain(
+        (((w1[0],) + w, m) for w, m in shuffle_words(w1[1:], w2).items()),
+        (((w2[0],) + w, m) for w, m in shuffle_words(w1, w2[1:]).items()))))
 
 
 # ---------------------------------------------------------------------------

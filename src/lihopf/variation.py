@@ -41,20 +41,20 @@ def enumerate_keys(nvec):
     return keys
 
 
+def _left_vector(lmon):
+    if len(lmon) > 1:
+        raise AssertionError("left slot is a product: %r" % (lmon,))
+    return ZERO_VECTOR if not lmon else generator_to_vector(lmon[0])
+
+
 def _row_of(v, sort):
     """Map column-key -> read-only Element for the row of one key."""
     if v == ZERO_VECTOR:
         return {ZERO_VECTOR: Element.one(sort).frozen()}
-    g = vector_to_generator(v)
-    t = coproduct(gen_elem(g, sort))
-    row = {}
-    for (lmon, rmon), c in t.terms.items():
-        if len(lmon) > 1:
-            raise AssertionError("left slot is a product: %r" % (lmon,))
-        w = ZERO_VECTOR if not lmon else generator_to_vector(lmon[0])
-        cur = row.get(w, Element.zero(sort))
-        row[w] = cur + Element.from_monomial(rmon, sort, c)
-    return {w: e.frozen() for w, e in row.items() if not e.is_zero()}
+    t = coproduct(gen_elem(vector_to_generator(v), sort))
+    row = collect((_left_vector(lmon), Element.from_monomial(rmon, sort, c))
+                  for (lmon, rmon), c in t.terms.items())
+    return {w: e.frozen() for w, e in row.items()}
 
 
 class VariationMatrix:
@@ -124,20 +124,16 @@ def _build_V(nvec, sort):
 # dense matrix helpers (sizes here are tiny)
 
 def matmul(A, B):
-    out = []
-    for i in range(len(A)):
-        row = []
-        for j in range(len(B[0])):
-            acc = A[i][0] * B[0][j]
-            for r in range(1, len(B)):
-                acc = acc + A[i][r] * B[r][j]
-            row.append(acc)
-        out.append(row)
-    return out
+    return [[(row[0] * B[0][j]).sum(row[r] * B[r][j]
+                                    for r in range(1, len(B)))
+             for j in range(len(B[0]))] for row in A]
 
 
-def mat_add(A, B):
-    return [[a + b for a, b in zip(ra, rb)] for ra, rb in zip(A, B)]
+def mat_combination(mats, zero, size):
+    """The size x size matrix sum of c * M over the (M, c) in mats, each
+    entry summed once from zero."""
+    return [[zero.sum(M[i][j].scale(c) for M, c in mats)
+             for j in range(size)] for i in range(size)]
 
 
 def mat_scale(A, c):
@@ -152,15 +148,15 @@ def nilpotent_exp(M, one, zero, negate=False):
     """exp(M) (or exp(-M)) for a strictly triangular matrix; the series
     stops on its own once the power vanishes."""
     n = len(M)
-    out = [[one if i == j else zero for j in range(n)] for i in range(n)]
-    power = out
+    power = [[one if i == j else zero for j in range(n)] for i in range(n)]
+    powers = [(power, 1)]
     sign = -1 if negate else 1
     for k in range(1, n + 1):
         power = matmul(power, M)
         if mat_is_zero(power):
             break
-        out = mat_add(out, mat_scale(power, Fraction(sign ** k, math.factorial(k))))
-    return out
+        powers.append((power, Fraction(sign ** k, math.factorial(k))))
+    return mat_combination(powers, zero, n)
 
 
 # ---------------------------------------------------------------------------
@@ -168,15 +164,10 @@ def nilpotent_exp(M, one, zero, negate=False):
 
 def antipode_ok(V):
     """sum over w of S(V[w][z]) * V[v][w] == delta(v, z)."""
-    for v in V.keys:
-        for z in V.keys:
-            acc = Element.zero(V.sort)
-            for w in V.keys:
-                acc = acc + antipode(V.entry(w, z)) * V.entry(v, w)
-            want = Element.one(V.sort) if v == z else Element.zero(V.sort)
-            if not (acc - want).is_zero():
-                return False
-    return True
+    one, zero = Element.one(V.sort), Element.zero(V.sort)
+    return all(zero.sum(antipode(V.entry(w, z)) * V.entry(v, w)
+                        for w in V.keys) == (one if v == z else zero)
+               for v in V.keys for z in V.keys)
 
 
 # ---------------------------------------------------------------------------
@@ -196,19 +187,23 @@ def omega_form_matrix(V):
             for row in omega_matrix(V)]
 
 
+def _flat(M, conn):
+    """d M == conn M with d the letter-basis derivation: for every entry,
+    derive(M[i][j]) is the sum over r of conn[i][r] M[r][j], read letter
+    by letter."""
+    n = len(M)
+    coeffs = [[[(basis[0], poly_to_element(p, H))
+                for basis, p in f.terms.items()] for f in row]
+              for row in conn]
+    return all(derive(M[i][j]) == collect((sym, e * M[r][j])
+                                          for r in range(n)
+                                          for sym, e in coeffs[i][r])
+               for i in range(n) for j in range(n))
+
+
 def derivation_ok(V):
     """dV == omega V with d the letter-basis derivation."""
-    om = omega_form_matrix(V)
-    n = V.size()
-    for i in range(n):
-        for j in range(n):
-            lhs = derive(V.rows[i][j])
-            rhs = collect((basis[0], V.rows[r][j] * p.constant_term())
-                          for r in range(n)
-                          for basis, p in om[i][r].terms.items())
-            if lhs != rhs:
-                return False
-    return True
+    return _flat(V.rows, omega_form_matrix(V))
 
 
 def w_of_V(V, n):
@@ -229,26 +224,17 @@ def w_closed_form(V, n):
     pows = [ident]
     for _ in range(n - 1):
         pows.append(matmul(pows[-1], om))
-    acc = None
-    for k in range(n):
-        term = matmul(matmul(pows[k], omf), pows[n - 1 - k])
-        coeff = Fraction((-1) ** k * math.comb(n - 1, k), math.factorial(n))
-        term = mat_scale(term, coeff)
-        acc = term if acc is None else mat_add(acc, term)
-    return acc
+    return mat_combination(
+        [(matmul(matmul(pows[k], omf), pows[n - 1 - k]),
+          Fraction((-1) ** k * math.comb(n - 1, k), math.factorial(n)))
+         for k in range(n)], Form(1), size)
 
 
 def omega_hat(V):
     """The gauge-transformed connection sum((n-1) w(V_n), n >= 2)."""
-    total = None
-    for n in range(2, sum(V.nvec) + 1):
-        term = mat_scale(w_of_V(V, n), Fraction(n - 1))
-        total = term if total is None else mat_add(total, term)
-    if total is None:
-        size = V.size()
-        zf = Form(1)
-        total = [[zf for _ in range(size)] for _ in range(size)]
-    return total
+    return mat_combination([(w_of_V(V, n), n - 1)
+                            for n in range(2, sum(V.nvec) + 1)],
+                           Form(1), V.size())
 
 
 def v_hat(V):
@@ -262,31 +248,16 @@ def v_hat(V):
 
 def hat_derivation_ok(V):
     """d V-hat == omega-hat V-hat."""
-    oh = omega_hat(V)
-    vh = v_hat(V)
-    n = V.size()
-    for i in range(n):
-        for j in range(n):
-            lhs = derive(vh[i][j])
-            rhs = collect((basis[0], poly_to_element(p, H) * vh[r][j])
-                          for r in range(n)
-                          for basis, p in oh[i][r].terms.items())
-            if lhs != rhs:
-                return False
-    return True
+    return _flat(v_hat(V), omega_hat(V))
 
 
-def chain_map_ok(V, max_weight=None):
+def chain_map_ok(V):
     """d w(V_n) + sum over p+q=n of w(V_p) ^ w(V_q) == 0."""
-    top = sum(V.nvec) if max_weight is None else min(max_weight, sum(V.nvec))
-    wmats = {n: w_of_V(V, n) for n in range(1, top + 1)}
-    for n in range(1, top + 1):
-        acc = [[f.exterior_d() for f in row] for row in wmats[n]]
-        for p in range(1, n):
-            acc = mat_add(acc, matmul(wmats[p], wmats[n - p]))
-        if not mat_is_zero(acc):
-            return False
-    return True
+    size = V.size()
+    w = {n: w_of_V(V, n) for n in range(1, sum(V.nvec) + 1)}
+    return not any(w[n][i][j].exterior_d().sum(
+        w[p][i][r] * w[n - p][r][j] for p in range(1, n) for r in range(size))
+        for n in w for i in range(size) for j in range(size))
 
 
 def curvature_identity_ok(V):
@@ -295,8 +266,8 @@ def curvature_identity_ok(V):
     om = omega_matrix(V)
     omf = omega_form_matrix(V)
     oh = omega_hat(V)
-    lhs = mat_add([[f.exterior_d() for f in row] for row in oh],
-                  mat_scale(matmul(oh, oh), Fraction(-1)))
+    lhs = mat_combination([([[f.exterior_d() for f in row] for row in oh], 1),
+                           (matmul(oh, oh), -1)], Form(2), V.size())
     pone, pzero = Poly.one(), Poly.zero()
     gm = nilpotent_exp(om, pone, pzero, negate=True)
     gp = nilpotent_exp(om, pone, pzero, negate=False)
@@ -309,8 +280,8 @@ def recurrence_ok(V):
     om = omega_matrix(V)
     for n in range(1, sum(V.nvec)):
         wn = mat_scale(w_of_V(V, n), Fraction(math.factorial(n)))
-        bracket = mat_add(matmul(wn, om),
-                          mat_scale(matmul(om, wn), Fraction(-1)))
+        bracket = mat_combination([(matmul(wn, om), 1), (matmul(om, wn), -1)],
+                                  Form(1), V.size())
         wn1 = mat_scale(w_of_V(V, n + 1),
                         Fraction(math.factorial(n + 1)))
         if wn1 != bracket:
@@ -328,9 +299,7 @@ def corollary_form_ok(nvec):
     wv = w_of_V(V, n - 1)
     i = V.index[tuple(nvec)]
     j = V.index[ZERO_VECTOR]
-    size = V.size()
-    acc = Form(1)
-    for r in range(size):
-        acc = acc + wv[i][r] * om[r][j] - om[i][r] * wv[r][j]
+    acc = Form(1).sum(wv[i][r] * om[r][j] - om[i][r] * wv[r][j]
+                      for r in range(V.size()))
     want = w_element(gen_elem(vector_to_generator(tuple(nvec))))
     return acc == want * n

@@ -17,6 +17,7 @@ import time
 from dataclasses import dataclass, field
 from fractions import Fraction
 from functools import partial
+from operator import add
 
 from . import expr
 from .algebra import (
@@ -65,6 +66,7 @@ from .iterint import (
     subsequence_entry,
     subsequence_keys,
 )
+from .lincomb import collect
 from .tensor import (Tensor, WordSum, grouplike_ok, project_pi, symbol, u_,
                      v_)
 from .variation import (
@@ -75,6 +77,7 @@ from .variation import (
     curvature_identity_ok,
     derivation_ok,
     hat_derivation_ok,
+    matmul,
     omega_form_matrix,
     omega_hat,
     omega_matrix,
@@ -180,10 +183,7 @@ def bracket_generators(max_weight, max_depth, include_inverted=True):
 
 
 def _tensor_pairs(sort, *pairs):
-    out = Tensor.zero((sort, sort))
-    for a, b in pairs:
-        out = out + Tensor.of(a, b)
-    return out
+    return Tensor.zero((sort, sort)).sum(Tensor.of(a, b) for a, b in pairs)
 
 
 # ---------------------------------------------------------------------------
@@ -275,17 +275,10 @@ def _suite_golden(rep, max_weight=None, max_depth=None, seed=0):
     table = [(1, ("w1", "w0", "a1")), (1, ("w1", "a1", "w0")),
              (-1, ("w1", "a1", "a0")), (-1, ("w1", "b1", "b0")),
              (-1, ("w1", "b0", "b0")), (1, ("a1", "b1", "b0"))]
-    want = WordSum()
-    for c, slots in table:
-        acc = {(): Fraction(c)}
-        for s in slots:
-            nxt = {}
-            for word, cc in acc.items():
-                for sym, cl in expand[s].items():
-                    key = word + (sym,)
-                    nxt[key] = nxt.get(key, Fraction(0)) + cc * cl
-            acc = nxt
-        want = want + WordSum(acc)
+    want = WordSum(collect(
+        (tuple(sym for sym, _ in picks), c * math.prod(cl for _, cl in picks))
+        for c, slots in table
+        for picks in itertools.product(*(expand[s].items() for s in slots))))
     rep.check_eq("symbol of Li[2,1](1,2,3)", symbol(G21h), want)
 
     # -- one-forms: depth-one family and the depth-two value
@@ -360,10 +353,9 @@ def _suite_golden(rep, max_weight=None, max_depth=None, seed=0):
         got = vh[V5.index[(k,)]][0]
         want = poly_to_element(
             Poly({(u1,) * (k - 1) + (v11,):
-                  Fraction(-((-1) ** k), math.factorial(k))}), H)
-        for r in range(k):
-            want = want + (x1(k - r) * u1_h ** r
-                           * Fraction((-1) ** r, math.factorial(r)))
+                  Fraction(-((-1) ** k), math.factorial(k))}), H).sum(
+            x1(k - r) * u1_h ** r * Fraction((-1) ** r, math.factorial(r))
+            for r in range(k))
         if got != want:
             bad.append(k)
     rep.check_eq("hatted matrix first column, depth one", bad, [])
@@ -450,19 +442,14 @@ def _suite_golden(rep, max_weight=None, max_depth=None, seed=0):
             word.extend([ZERO] * (wts[r] - 1))
         g = IGenerator(ZERO, tuple(word), pts[d])
         la = expand_log(ps[d], top + 1, HBAR, inverse=True)
-        want = Element.zero(HBAR)
-        for splits in itertools.product(range(n0), repeat=d + 1):
-            if sum(splits) != n0 - 1:
-                continue
-            i0, irest = splits[0], splits[1:]
-            coeff = Fraction((-1) ** i0, math.factorial(i0))
-            for r in range(d):
-                coeff *= math.comb(wts[r] + irest[r] - 1, wts[r] - 1)
-            term = Element.constant(coeff, HBAR)
-            for _ in range(i0):
-                term = term * la
-            nw = tuple(wts[r] + irest[r] for r in range(d))
-            want = want + term * gen_elem(li(tuple(ps), nw), HBAR)
+        # the first split zeros stay in front as powers of la; the rest
+        # raise the weights
+        want = Element.zero(HBAR).sum(
+            la ** i0 * Fraction((-1) ** i0, math.factorial(i0))
+            * math.prod(math.comb(m + i - 1, m - 1) for m, i in zip(wts, rest))
+            * gen_elem(li(ps, tuple(map(add, wts, rest))), HBAR)
+            for i0, *rest in itertools.product(range(n0), repeat=d + 1)
+            if i0 + sum(rest) == n0 - 1)
         want = want * Fraction((-1) ** (n0 + d - 1))
         rep.check_eq("leading-zero path (%d zeros) over %s" % (n0 - 1, g),
                      phi(g), want)
@@ -599,11 +586,9 @@ def _suite_forms(rep, max_weight=None, max_depth=None, seed=0):
     for g in cases:
         e = gen_elem(g, H)
         lhs = w_element(e).exterior_d()
-        rhs = Form(2)
-        for (lm, rm), c in reduced_coproduct(e).terms.items():
-            wl = w_element(Element.from_monomial(lm, H))
-            wr = w_element(Element.from_monomial(rm, H))
-            rhs = rhs + wl.wedge(wr).scale(c)
+        rhs = Form(2).sum(w_element(Element.from_monomial(lm, H)).wedge(
+            w_element(Element.from_monomial(rm, H))).scale(c)
+            for (lm, rm), c in reduced_coproduct(e).terms.items())
         rep.check_eq("generator chain map at %s" % (g,), lhs, rhs)
 
 
@@ -649,14 +634,8 @@ def _suite_iterint(rep, max_weight=None, max_depth=None, seed=0):
 @suite("numeric", "seeded numeric flatness of the curvature")
 def _suite_numeric(rep, max_weight=None, max_depth=None, seed=0):
     for nvec in [(2,), (3,), (1, 1), (2, 1), (1, 2), (1, 1, 1)]:
-        V = build_V(nvec, H)
-        omf = omega_form_matrix(V)
-        size = V.size()
-        wedge = [[Form(2) for _ in range(size)] for _ in range(size)]
-        for i in range(size):
-            for j in range(size):
-                for r in range(size):
-                    wedge[i][j] = wedge[i][j] + omf[i][r].wedge(omf[r][j])
+        omf = omega_form_matrix(build_V(nvec, H))
+        wedge = matmul(omf, omf)
         dim = len(nvec)
         for k in range(20):
             vals = sample_point(dim, seed=seed + k)

@@ -9,6 +9,7 @@ import pytest
 
 from lihopf.algebra import HBAR, ITER, Element, expand_log, gen_elem, li, log
 from lihopf.coproduct import coproduct, coproduct_bar
+from lihopf.expr import render
 from lihopf.iterint import (
     IGenerator,
     InvProduct,
@@ -424,3 +425,17 @@ def test_phi_cached_value_is_read_only():
     assert phi(g) is x
     assert phi(g) == want
     assert phi_element(Element(ITER, {(g,): 1})) == want
+
+
+@pytest.mark.parametrize("fmt", ["json", "latex"])
+def test_a_symbol_has_no_bracket_rendering(fmt):
+    x = integral(IGenerator(ZERO, (InvProduct(1, 1),), ONE))
+    for value in (x, Tensor.of(x, x)):
+        with pytest.raises(ValueError, match="sort 'I'"):
+            render(value, fmt)
+
+
+def test_a_symbol_renders_as_text():
+    x = integral(IGenerator(ZERO, (InvProduct(1, 1),), ONE))
+    assert render(x, "text") == "I(0;1/x1;1)"
+    assert render(Tensor.of(x, x), "text") == "I(0;1/x1;1) (x) I(0;1/x1;1)"

@@ -11,9 +11,9 @@ from hypothesis import given, settings, strategies as st
 
 from lihopf.algebra import H, HBAR, ITER, Element, gen_elem, li, log
 from lihopf.expr import element_document
-from lihopf.forms import Form, Poly
+from lihopf.forms import Form, Poly, w_element
 from lihopf.iterint import ONE, ZERO, IGenerator, InvProduct
-from lihopf.lincomb import LinComb, as_fraction
+from lihopf.lincomb import LinComb, as_fraction, clear_caches, collect
 from lihopf.series import TruncatedSeries
 from lihopf.tensor import Tensor, WordSum, u_, v_
 
@@ -189,3 +189,92 @@ def test_as_fraction_is_the_only_scalar_coercion():
                 make(bad)
     with pytest.raises(TypeError):
         Element.one(ITER) * 0.5
+
+
+# -- the one accumulator: a coefficient that is itself a combination is
+# copied before it grows, so no operand or memo value is written into
+
+def _shared_coefficients():
+    """Combination-valued coefficients as a memo or an operand holds them:
+    read-only, and plain."""
+    p = Poly({(u_(1),): 1, (u_(1), v_(1, 2)): Fraction(-1, 2)})
+    e = gen_elem(li((1, 2, 3), (2, 1)), H) * 3 + 1
+    return [p.frozen(), e.frozen(), p, e]
+
+
+def _snapshot(c):
+    return dict(c.terms)
+
+
+def test_collect_leaves_a_repeated_shared_coefficient_unchanged():
+    for c in _shared_coefficients():
+        before = _snapshot(c)
+        want = c.scale(4)
+        assert collect([("k", c)] * 4) == {"k": want}
+        assert _snapshot(c) == before
+
+
+def test_sum_leaves_repeated_shared_coefficients_unchanged():
+    for c in _shared_coefficients():
+        x = Form(1, {(u_(1),): c}) if isinstance(c, Poly) \
+            else TruncatedSeries(H, (1,), terms={(0,): c})
+        x = x.frozen()
+        before = {k: _snapshot(v) for k, v in x.terms.items()}
+        want = x.scale(4)
+        assert x.sum([x, x, x]) == want
+        assert x + x + x + x == want
+        assert {k: _snapshot(v) for k, v in x.terms.items()} == before
+
+
+def test_summing_a_one_form_leaves_it_and_its_memo_unchanged():
+    clear_caches()
+    e = gen_elem(li((1, 2, 3), (1, 1)), H) + gen_elem(li((1, 3), (2,)), H)
+    first = w_element(e)
+    want = first.scale(3)
+    assert first.sum([first, first]) == want
+    assert first == w_element(e)        # the memoized monomial forms
+    clear_caches()
+    assert first == w_element(e)        # cold again
+
+
+def test_a_coefficient_that_cancels_drops_its_key():
+    for c in _shared_coefficients():
+        before = _snapshot(c)
+        assert collect([("k", c), ("k", -c)]) == {}
+        # cancelled, then the shared value is stored again and repeated
+        terms = collect([("k", c), ("k", c), ("k", -c), ("k", -c),
+                         ("k", c), ("k", c), ("j", c)])
+        assert terms == {"k": c.scale(2), "j": c}
+        assert _snapshot(c) == before
+    f = Form(1, {(u_(1),): Poly.variable(u_(2)), (u_(2),): Poly.one()})
+    assert f.sum([-f]).terms == {}
+    assert (f.sum([f, -f, -f, -f]) + f).terms == {}
+    g = f.sum([Form(1, {(u_(1),): -Poly.variable(u_(2))})])
+    assert g.terms == {(u_(2),): Poly.one()}
+
+
+@pytest.mark.parametrize("name", sorted(ALGEBRAS))
+def test_sum_of_no_parts_is_an_equal_copy(name):
+    combos = ALGEBRAS[name]
+
+    @settings(max_examples=20, deadline=None)
+    @given(combos)
+    def check(x):
+        x = x.frozen()
+        copy = x.sum([])
+        assert copy == x and copy is not x and copy.terms is not x.terms
+        assert copy.sum([x]) == x.scale(2)
+        assert x.sum(iter([x])) == x * 2
+
+    check()
+
+
+def test_sum_conforms_like_plus_and_refuses_other_kinds():
+    e = gen_elem(log(1), H)
+    assert Element.zero(H).sum([e, Element.constant(2, HBAR)]) == e + 2
+    with pytest.raises(ValueError):
+        Element.zero(H).sum([e.as_sort(HBAR)])
+    with pytest.raises(ValueError):
+        Form(1).sum([Form(2)])
+    with pytest.raises(TypeError):
+        Poly().sum([Form(0)])

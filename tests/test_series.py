@@ -190,3 +190,46 @@ def test_divide_substitute_and_conform_keep_the_denominator():
     assert c.den == 6 and (c.caps, c.total) == ((1, 1), 1)
     assert set(c.terms) == set(s.terms) & {(0, 0), (1, 0), (0, 1)}
 
+
+
+def _sum_parts():
+    """Series whose sum rescales: denominators 6, 1, 2 and 6, the last of
+    a wider truncation; self (den 6, the lcm) and the last part keep
+    their coefficients, so a sum that wrote into them would show."""
+    shape = TruncatedSeries(H, (2, 1))
+    wide = TruncatedSeries(H, (3, 2), 4)
+    e = x(1) * 2 + x(2)
+    head = shape._like({(0, 0): e, (1, 0): x(2) * 5, (2, 1): x(1)}, 6)
+    parts = [shape._like({(0, 0): e, (1, 1): x(1)}),
+             shape._like({(0, 0): e, (0, 1): x(1) * 3}, 2),
+             wide._like({(0, 0): e, (1, 0): x(2), (3, 0): x(1),
+                         (1, 2): x(2)}, 6)]
+    return head.frozen(), [p.frozen() for p in parts]
+
+
+def _values(s):
+    return {e: s.coefficient(e) for e in s.terms}
+
+
+def test_sum_over_denominators_and_truncations_is_the_chained_sum():
+    head, parts = _sum_parts()
+    assert [head.den] + [p.den for p in parts] == [6, 1, 2, 6]
+    before = [_values(s) for s in [head] + parts]
+    got = head.sum(parts)
+    assert [_values(s) for s in [head] + parts] == before
+    fresh_head, fresh_parts = _sum_parts()
+    want = fresh_head
+    for p in fresh_parts:
+        want = want + p
+    assert got == want and got.den == 6 and _integral(got)
+    assert (got.caps, got.total) == (head.caps, head.total)
+    assert (3, 0) not in got.terms and (1, 2) not in got.terms
+    assert got.coefficient((0, 0)) == (x(1) * 2 + x(2)) * Fraction(11, 6)
+
+
+def test_series_sum_of_no_parts_is_an_equal_copy():
+    head, _ = _sum_parts()
+    copy = head.sum([])
+    assert copy == head and copy is not head and copy.den == head.den
+    assert copy.sum([head]) == head * 2
+    assert _values(head) == _values(_sum_parts()[0])
