@@ -163,11 +163,12 @@ def nilpotent_exp(M, one, zero, negate=False):
 # structural laws
 
 def antipode_ok(V):
-    """sum over w of S(V[w][z]) * V[v][w] == delta(v, z)."""
+    """sum over w of S(V[w][z]) * V[v][w] == delta(v, z): V times S(V) is
+    the identity."""
     one, zero = Element.one(V.sort), Element.zero(V.sort)
-    return all(zero.sum(antipode(V.entry(w, z)) * V.entry(v, w)
-                        for w in V.keys) == (one if v == z else zero)
-               for v in V.keys for z in V.keys)
+    prod = matmul(V.rows, [[antipode(e) for e in row] for row in V.rows])
+    return all(x == (one if v == z else zero)
+               for v, row in enumerate(prod) for z, x in enumerate(row))
 
 
 # ---------------------------------------------------------------------------

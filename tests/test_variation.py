@@ -254,6 +254,20 @@ def test_perturbed_V_is_not_grouplike():
     assert not grouplike_ok(V.keys, perturbed, coproduct)
 
 
+def test_perturbed_V_breaks_every_matrix_law():
+    V = build_V((2, 1), H)
+    for v, w in [((2, 1), (1, 1)), ((2, 1), ())]:
+        rows = [list(row) for row in V.rows]
+        e = rows[V.index[v]][V.index[w]]
+        rows[V.index[v]][V.index[w]] = e + e
+        bad = VariationMatrix(V.nvec, V.sort, V.keys,
+                              tuple(map(tuple, rows)))
+        assert not antipode_ok(bad), (v, w)
+        assert not derivation_ok(bad), (v, w)
+        assert not hat_derivation_ok(bad), (v, w)
+        assert not chain_map_ok(bad), (v, w)
+
+
 def test_antipode_identity_both_sorts():
     for nv in NVECS_FAST:
         for sort in (H, HBAR):
