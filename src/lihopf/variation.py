@@ -129,7 +129,7 @@ def matmul(A, B):
              for j in range(len(B[0]))] for row in A]
 
 
-def mat_combination(mats, zero, size):
+def _mat_combination(mats, zero, size):
     """The size x size matrix sum of c * M over the (M, c) in mats, each
     entry summed once from zero."""
     return [[zero.sum(M[i][j].scale(c) for M, c in mats)
@@ -156,7 +156,7 @@ def nilpotent_exp(M, one, zero, negate=False):
         if mat_is_zero(power):
             break
         powers.append((power, Fraction(sign ** k, math.factorial(k))))
-    return mat_combination(powers, zero, n)
+    return _mat_combination(powers, zero, n)
 
 
 # ---------------------------------------------------------------------------
@@ -225,7 +225,7 @@ def w_closed_form(V, n):
     pows = [ident]
     for _ in range(n - 1):
         pows.append(matmul(pows[-1], om))
-    return mat_combination(
+    return _mat_combination(
         [(matmul(matmul(pows[k], omf), pows[n - 1 - k]),
           Fraction((-1) ** k * math.comb(n - 1, k), math.factorial(n)))
          for k in range(n)], Form(1), size)
@@ -233,9 +233,9 @@ def w_closed_form(V, n):
 
 def omega_hat(V):
     """The gauge-transformed connection sum((n-1) w(V_n), n >= 2)."""
-    return mat_combination([(w_of_V(V, n), n - 1)
-                            for n in range(2, sum(V.nvec) + 1)],
-                           Form(1), V.size())
+    return _mat_combination([(w_of_V(V, n), n - 1)
+                             for n in range(2, sum(V.nvec) + 1)],
+                            Form(1), V.size())
 
 
 def v_hat(V):
@@ -267,8 +267,9 @@ def curvature_identity_ok(V):
     om = omega_matrix(V)
     omf = omega_form_matrix(V)
     oh = omega_hat(V)
-    lhs = mat_combination([([[f.exterior_d() for f in row] for row in oh], 1),
-                           (matmul(oh, oh), -1)], Form(2), V.size())
+    d_oh = [[f.exterior_d() for f in row] for row in oh]
+    lhs = _mat_combination([(d_oh, 1), (matmul(oh, oh), -1)], Form(2),
+                           V.size())
     pone, pzero = Poly.one(), Poly.zero()
     gm = nilpotent_exp(om, pone, pzero, negate=True)
     gp = nilpotent_exp(om, pone, pzero, negate=False)
@@ -281,8 +282,8 @@ def recurrence_ok(V):
     om = omega_matrix(V)
     for n in range(1, sum(V.nvec)):
         wn = mat_scale(w_of_V(V, n), Fraction(math.factorial(n)))
-        bracket = mat_combination([(matmul(wn, om), 1), (matmul(om, wn), -1)],
-                                  Form(1), V.size())
+        bracket = _mat_combination(
+            [(matmul(wn, om), 1), (matmul(om, wn), -1)], Form(1), V.size())
         wn1 = mat_scale(w_of_V(V, n + 1),
                         Fraction(math.factorial(n + 1)))
         if wn1 != bracket:

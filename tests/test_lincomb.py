@@ -254,17 +254,17 @@ def test_a_coefficient_that_cancels_drops_its_key():
 
 
 @pytest.mark.parametrize("name", sorted(ALGEBRAS))
-def test_sum_of_no_parts_is_an_equal_copy(name):
+def test_sum_is_the_chained_plus_and_of_no_parts_an_equal_copy(name):
     combos = ALGEBRAS[name]
 
     @settings(max_examples=20, deadline=None)
-    @given(combos)
-    def check(x):
+    @given(combos, combos, combos)
+    def check(x, a, b):
         x = x.frozen()
+        assert x.sum(iter([a, b, x])) == x + a + b + x
         copy = x.sum([])
         assert copy == x and copy is not x and copy.terms is not x.terms
         assert copy.sum([x]) == x.scale(2)
-        assert x.sum(iter([x])) == x * 2
 
     check()
 
