@@ -35,10 +35,9 @@ is integral and as a fractions.Fraction otherwise (see ``lincomb``); an
 integral Fraction produced by arithmetic equals and hashes like the int.
 """
 
-from fractions import Fraction
 from typing import NamedTuple
 
-from .lincomb import LinComb, extend
+from .lincomb import LinComb, extend, is_rational
 
 H = "H"
 HBAR = "Hbar"
@@ -256,7 +255,7 @@ class Element(LinComb):
 
     def _join(self, other):
         if other.__class__ is not Element:
-            if isinstance(other, (int, Fraction)):
+            if is_rational(other):
                 other = self._lift(other)
             elif not isinstance(other, Element):
                 return None

@@ -19,8 +19,6 @@ coefficient read at the end; see ``_inv_series``), one degree higher in
 t_j before a division by t_j, so those divisions are exact as well.
 """
 
-from fractions import Fraction
-
 from .algebra import (
     H,
     HBAR,
@@ -97,27 +95,41 @@ def _normalize_block(block):
 def _bracket_series(shape, indices, targs, inverted):
     """The generating series of a bracket whose slot u carries the linear
     form targs[u]: sum over all weights m_u >= 1 of
-    [indices]_{m} * prod targs[u]^(m_u - 1), truncated like ``shape``."""
+    [indices]_{m} * prod targs[u]^(m_u - 1), truncated like ``shape``.
+
+    The forms have int coefficients, so every product of them is an int
+    series over den 1; each weight tuple names its own bracket, so the
+    terms of distinct weights are disjoint and are stored, not summed."""
     one = shape.constant(1)
     if not targs:
         return one
     lfs = [one.linear_form(t) for t in targs]
+    if any(lf.den != 1 for lf in lfs):
+        raise ValueError("bracket series forms need int coefficients")
+    terms = {}
 
-    def terms(u, weights, acc):
+    def fill(u, weights, acc):
         if u == len(targs):
-            yield acc * gen_elem(li(indices, weights, inverted), shape.sort)
+            mon = (li(indices, weights, inverted),)
+            for (e, _), c in acc.terms.items():
+                terms[(e, mon)] = c
             return
-        cur = acc
         m = 1
-        while True:
-            yield from terms(u + 1, weights + (m,), cur)
-            nxt = cur * lfs[u]
-            if not nxt.terms:
-                break
-            cur = nxt
+        while acc.terms:
+            fill(u + 1, weights + (m,), acc)
+            acc = acc * lfs[u]
             m += 1
 
-    return shape._like().sum(terms(0, (), one))
+    fill(0, (), one)
+    return shape._new(terms, 1)
+
+
+@memo
+def _window_exp(caps, total, sort, window, inverse, v):
+    """exp(t_v [x_window]_0), the letter inverted if ``inverse``, as a
+    series of shape (caps, total) and sort ``sort``."""
+    return TruncatedSeries(sort, caps, total).exp_linear(
+        expand_log(*window, sort, inverse=inverse), [(v, 1)]).frozen()
 
 
 def _ij_choices(d):
@@ -174,8 +186,7 @@ def _bar_terms(letters, shape, pairs):
         i_next = pairs[a + 1][0] if a + 1 < len(pairs) else d + 1
         sign *= (-1) ** (j - i)
         w, inv = _merge(letters, i, i_next)
-        R = R * shape.exp_linear(
-            expand_log(w[0], w[1], HBAR, inverse=inv), [(j - 1, 1)])
+        R = R * _window_exp(shape.caps, shape.total, HBAR, w, inv, j - 1)
         # letters strictly between i and j, inverted, seen from t_j
         invblock = [(letters[r - 1][0], not letters[r - 1][1],
                      [(j - 1, 1), (r - 1, -1)])
@@ -188,15 +199,11 @@ def _bar_terms(letters, shape, pairs):
                     for r in range(j + 1, i_next)]
         R = R * _bracket_series(shape, *_normalize_block(regblock))
 
-    scale = sign if L.den == 1 else Fraction(sign, L.den)
-    for e, ce in L.terms.items():
-        f = tuple(t - x for t, x in zip(shape.caps, e))
-        if any(x < 0 for x in f):
-            continue
-        cf = R.coefficient(f)
-        if cf.is_zero():
-            continue
-        yield Tensor.of(ce, cf) * scale
+    right = R.coefficients()
+    for e, ce in L.coefficients().items():
+        cf = right.get(tuple(t - x for t, x in zip(shape.caps, e)))
+        if cf is not None:
+            yield Tensor.of(ce, cf) * sign
 
 
 def coproduct_bar(e):
@@ -246,7 +253,6 @@ def _inv_series_on(p, vars_, caps, total):
     m = len(p) - 1
     if m == 0:
         return shape.constant(1).frozen()
-    full_log = expand_log(p[0], p[-1], H)
 
     def terms():
         # leading sum: inverted head of length j times the regular tail
@@ -275,7 +281,8 @@ def _inv_series_on(p, vars_, caps, total):
             for r in range(j - 1):
                 images[vars_[r]] = [(vars_[r], 1), (tj, -1)]
             Ap = A.substitute(images, nshape)
-            E = nshape.exp_linear(full_log, [(tj, 1)])
+            E = _window_exp(nshape.caps, nshape.total, H, (p[0], p[-1]), False,
+                            tj)
             Bp = _bracket_series(nshape, p[j:], [[(vars_[r], 1), (tj, -1)]
                                                  for r in range(j, m)], False)
             N = N - Ap * E * Bp

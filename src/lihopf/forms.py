@@ -23,7 +23,7 @@ from fractions import Fraction
 from types import MappingProxyType
 
 from .algebra import Element, H, gen_elem, mul_monomials
-from .lincomb import LinComb, collect, extend, linear, memo
+from .lincomb import LinComb, collect, extend, is_rational, linear, memo
 from .tensor import (WordSum, letter_generator, symbol, u_, v_,
                      weight_one_letters)
 
@@ -37,6 +37,11 @@ class Poly(LinComb):
 
     def __init__(self, terms=None):
         self._init_terms(terms)
+
+    def _new(self, terms):
+        out = object.__new__(Poly)
+        out.terms = terms
+        return out
 
     @staticmethod
     def zero():
@@ -123,11 +128,17 @@ class Form(LinComb):
     __slots__ = ("degree",)
 
     _shape = ("degree",)
-    _scalars = (Poly, int, Fraction)
+    _scalars = (Poly,)
 
     def __init__(self, degree, terms=None):
         self.degree = degree
         self._init_terms(terms)
+
+    def _new(self, terms):
+        out = object.__new__(Form)
+        out.degree = self.degree
+        out.terms = terms
+        return out
 
     @staticmethod
     def _coerce(p):
@@ -145,7 +156,7 @@ class Form(LinComb):
         """The wedge product with a Form; a Poly or rational scales."""
         if other.__class__ is Form:
             return self.wedge(other)
-        if isinstance(other, self._scalars):
+        if is_rational(other) or isinstance(other, self._scalars):
             return self.scale(other)
         return NotImplemented
 

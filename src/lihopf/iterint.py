@@ -20,8 +20,9 @@ from __future__ import annotations
 import itertools
 from typing import NamedTuple, Optional
 
-from .algebra import HBAR, ITER, Element, expand_log
-from .coproduct import _bracket_series, _normalize_block, coproduct_bar
+from .algebra import HBAR, ITER, Element
+from .coproduct import (_bracket_series, _normalize_block, _window_exp,
+                        coproduct_bar)
 from .lincomb import extend, memo
 from .series import TruncatedSeries
 from .tensor import Tensor
@@ -89,15 +90,6 @@ def _ratio(p: Point, q: Point):
             return (wq[0], wp[0], True)
         return None
     return None
-
-
-def _log_of(p: Point) -> Element:
-    """[p]_0 as an element (0 for the points 0-adjacent cases never occur)."""
-    if p == ONE:
-        return Element.zero(HBAR)
-    if p == ZERO:
-        raise ValueError("no logarithm at the point 0")
-    return expand_log(p.lo, p.hi + 1, HBAR, inverse=True)
 
 
 # ---------------------------------------------------------------------------
@@ -255,9 +247,10 @@ def _phi_series(start, letters, end, off, shape):
             indices, targs, inverted = norm
             out = _bracket_series(shape, indices, targs, inverted)
             out = out * (-1) ** d
-        lg = _log_of(end)
-        if not lg.is_zero():
-            out = out * shape.exp_linear(lg, [(off, 1)])
+        window = _interval(end)
+        if window is not None:
+            out = out * _window_exp(shape.caps, shape.total, shape.sort,
+                                    window, True, off)
         return out
     return zero_series.sum(
         _phi_series(start, letters[:j], ZERO, off, shape)

@@ -1,14 +1,14 @@
 """Sparse Q-linear combinations: the arithmetic shared by every algebra.
 
 Every object of the package is a finite combination  sum_k c_k * k  of
-hashable keys k (monomials, tuples of monomials, words, exponent tuples,
-basis covectors) with nonzero coefficients c_k.  The coefficients are
-exact rationals, or for series and forms elements of another such
-algebra; a series is ``terms / den``, integral numerators over one
-positive integer denominator (see ``series``).  A rational is stored in
-its canonical form, an ``int`` when it is integral and a ``Fraction``
-otherwise; arithmetic may still produce an integral ``Fraction``, which
-equals and hashes like the int.
+hashable keys k (monomials, tuples of monomials, words, (exponent,
+monomial) pairs, basis covectors) with nonzero coefficients c_k.  The
+coefficients are exact rationals, or for forms elements of another such
+algebra (a Form's Poly values); a series is ``terms / den``, int
+numerators over one positive integer denominator (see ``series``).  A
+rational is stored in its canonical form, an ``int`` when it is integral
+and a ``Fraction`` otherwise; arithmetic may still produce an integral
+``Fraction``, which equals and hashes like the int.
 ``LinComb`` holds the combination in a dict ``terms`` and implements
 addition, negation, subtraction, scaling, the product through a
 per-class product of keys, equality and zero pruning once, for all of
@@ -20,9 +20,11 @@ A subclass declares:
   a degree, a truncation); results copy them from the left operand;
 * ``_mul_key(k1, k2)``: the key of a product of two keys, or None when
   the product vanishes (it is dropped);
-* ``_scalars``: the types ``*`` treats as scalars rather than operands,
-  ``Fraction`` last: an ``isinstance`` test against it runs the
-  ``numbers`` ABC machinery for every operand that is not one;
+* ``_scalars``: the combination types ``*`` treats as scalars rather
+  than operands (a rational always is one); an operand is tested for
+  being a rational by its class, or as a combination first, because an
+  ``isinstance`` test against ``Fraction`` runs the ``numbers`` ABC
+  machinery for every operand that is not one;
 * ``_lift(c)``: a scalar as a combination shaped like self, for algebras
   with a unit (the default has none);
 * ``_coerce(c)``: the coefficient a public constructor stores for c
@@ -44,8 +46,8 @@ Every sum is formed by one private loop, ``_accumulate``, which adds
 coefficient cancels.  ``LinComb._add`` (``+`` and ``-``), ``collect``
 (the terms of a sum of pairs) and ``LinComb.sum`` (self plus any number
 of combinations of its kind, into one dict) are the only ways a sum is
-formed.  A coefficient that is itself a combination (an Element of a
-series or of ``derive``, a Poly of a Form) is copied the first time its
+formed.  A coefficient that is itself a combination (an Element of
+``derive``, a Poly of a Form) is copied the first time its
 key repeats and grown in place after that, so a value that an operand or
 a memo holds is never written into.
 
@@ -74,11 +76,20 @@ def as_fraction(c):
     raise TypeError("scalar must be an int or Fraction, got %r" % (c,))
 
 
+def is_rational(x):
+    """x is an int or a Fraction, told without the ``numbers`` ABC
+    machinery when x is a combination."""
+    cls = x.__class__
+    if cls is int or cls is Fraction:
+        return True
+    return not isinstance(x, LinComb) and isinstance(x, (int, Fraction))
+
+
 class LinComb:
     __slots__ = ("terms",)
 
     _shape = ()
-    _scalars = (int, Fraction)
+    _scalars = ()
 
     def _init_terms(self, terms):
         """Set terms from a public constructor's input: every coefficient
@@ -127,7 +138,7 @@ class LinComb:
         """The two operands of a binary operation with one shape, or None
         when other is not a combination of this kind."""
         if other.__class__ is not self.__class__:
-            if isinstance(other, (int, Fraction)):
+            if is_rational(other):
                 other = self._lift(other)
             if other.__class__ is not self.__class__:
                 return None
@@ -182,8 +193,8 @@ class LinComb:
                        if (k := key(k1, k2)) is not None)
 
     def scale(self, c):
-        """c * self for a scalar c, or a coefficient c of a series or
-        form; coefficient rings have no zero divisors."""
+        """c * self for a scalar c, or a Poly coefficient c of a form;
+        coefficient rings have no zero divisors."""
         if not isinstance(c, LinComb):
             c = as_fraction(c)
         if not c:
@@ -214,8 +225,8 @@ class LinComb:
         return self._new({k: -c for k, c in self.terms.items()})
 
     def __mul__(self, other):
-        if other.__class__ is not self.__class__ and isinstance(
-                other, self._scalars):
+        if other.__class__ is not self.__class__ and (
+                is_rational(other) or isinstance(other, self._scalars)):
             return self.scale(other)
         pair = self._join(other)
         if pair is None:
@@ -226,7 +237,7 @@ class LinComb:
 
     def __eq__(self, other):
         if other.__class__ is not self.__class__:
-            if isinstance(other, (int, Fraction)):
+            if is_rational(other):
                 other = self._lift(other)
             if other.__class__ is not self.__class__:
                 return NotImplemented

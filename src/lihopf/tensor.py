@@ -46,6 +46,12 @@ class Tensor(LinComb):
         self.sorts = tuple(sorts)
         self._init_terms(terms)
 
+    def _new(self, terms):
+        out = object.__new__(Tensor)
+        out.sorts = self.sorts
+        out.terms = terms
+        return out
+
     @staticmethod
     def zero(sorts):
         return Tensor(sorts)
@@ -164,6 +170,11 @@ class WordSum(LinComb):
 
     def __init__(self, terms=None):
         self._init_terms(terms)
+
+    def _new(self, terms):
+        out = object.__new__(WordSum)
+        out.terms = terms
+        return out
 
     @staticmethod
     def unit():

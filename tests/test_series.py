@@ -1,8 +1,11 @@
+import itertools
 from fractions import Fraction
+from operator import add
 
 import pytest
+from hypothesis import given, settings, strategies as st
 
-from lihopf.algebra import H, Element, gen_elem, log
+from lihopf.algebra import H, Element, gen_elem, li, log
 from lihopf.coproduct import _inv_series, _inv_series_on
 from lihopf.lincomb import clear_caches
 from lihopf.series import TruncatedSeries
@@ -73,9 +76,10 @@ def test_substitute_exactness_under_truncation():
     p = f * f * f
     images = {0: [(0, 2)], 1: [(0, 1), (1, 1)]}
     low_after = {e: c for e, c in
-                 p.substitute(images, big).terms.items()
+                 p.substitute(images, big).coefficients().items()
                  if sum(e) <= 3}
-    low_before = p.substitute(images, TruncatedSeries(H, (3, 3), 3)).terms
+    low_before = p.substitute(images,
+                              TruncatedSeries(H, (3, 3), 3)).coefficients()
     assert low_after == low_before
 
 
@@ -123,8 +127,13 @@ def test_equal_demands_share_one_inversion_series():
 # the common denominator: a series is terms / den
 
 def _integral(s):
-    return all(type(v) is int for c in s.terms.values()
-               for v in c.terms.values())
+    return all(type(v) is int for v in s.terms.values())
+
+
+def _numerators(s, e):
+    """The numerators stored at exponent e, as an Element."""
+    return Element(s.sort, {mon: v for (f, mon), v in s.terms.items()
+                            if f == e})
 
 
 def test_exp_linear_has_integer_numerators_over_k_factorial():
@@ -132,7 +141,7 @@ def test_exp_linear_has_integer_numerators_over_k_factorial():
     one = TruncatedSeries(H, (3,)).constant(1)
     e = one.exp_linear(x(1), [(0, 1)])
     assert e.den == 6 and _integral(e)
-    assert e.terms[(2,)] == x(1) * x(1) * 3
+    assert _numerators(e, (2,)) == x(1) * x(1) * 3
     # the total allows t0^4, but lin^2 already vanishes on cap 1: K = 1
     one = TruncatedSeries(H, (1, 3), 4).constant(1)
     e = one.exp_linear(x(1), [(0, 1)])
@@ -158,7 +167,7 @@ def test_sum_over_denominators_2_and_6_is_the_rational_sum():
         for e in ((0, 0), (1, 0), (0, 1), (1, 1), (2, 1)):
             assert got.coefficient(e) == want.coefficient(e)
     # 3 x(1) / 2 - 9 x(1) / 6 cancels
-    assert (1, 1) not in (a + b).terms
+    assert (1, 1) not in (a + b).coefficients()
     assert (a + b).coefficient((0, 0)) == x(1)
     assert type((a + b).coefficient((0, 0)).terms[(log(1),)]) is int
 
@@ -166,10 +175,10 @@ def test_sum_over_denominators_2_and_6_is_the_rational_sum():
 def test_equality_holds_across_denominators():
     s = TruncatedSeries(H, (2, 2)).constant(x(1)) \
         + TruncatedSeries(H, (2, 2)).linear_form([(0, 3), (1, -1)])
-    twice = s._like(s.scale(2).terms, 2)
+    twice = s._like(s.scale(2).coefficients(), 2)
     assert twice.den == 2 and s.den == 1
     assert twice == s and s == twice
-    assert s._like(s.terms, 2) != s
+    assert s._like(s.coefficients(), 2) != s
     assert twice.coefficient((1, 0)) == Element.constant(3, H)
     assert type(twice.coefficient((1, 0)).constant_term()) is int
 
@@ -177,7 +186,7 @@ def test_equality_holds_across_denominators():
 def test_divide_substitute_and_conform_keep_the_denominator():
     one = TruncatedSeries(H, (2, 2)).constant(1)
     t0 = one.linear_form([(0, 1)])
-    s = t0._like((t0 * one.linear_form([(0, 1), (1, 1)])).terms, 6)
+    s = t0._like((t0 * one.linear_form([(0, 1), (1, 1)])).coefficients(), 6)
     q = s.divide_var(0)
     assert q.den == 6
     assert q * 6 == one.linear_form([(0, 1), (1, 1)])
@@ -188,7 +197,8 @@ def test_divide_substitute_and_conform_keep_the_denominator():
     tight = TruncatedSeries(H, (1, 1), 1)
     c = tight._conform(s)
     assert c.den == 6 and (c.caps, c.total) == ((1, 1), 1)
-    assert set(c.terms) == set(s.terms) & {(0, 0), (1, 0), (0, 1)}
+    assert set(c.coefficients()) == (set(s.coefficients())
+                                     & {(0, 0), (1, 0), (0, 1)})
 
 
 
@@ -208,7 +218,7 @@ def _sum_parts():
 
 
 def _values(s):
-    return {e: s.coefficient(e) for e in s.terms}
+    return s.coefficients()
 
 
 def test_sum_over_denominators_and_truncations_is_the_chained_sum():
@@ -223,7 +233,7 @@ def test_sum_over_denominators_and_truncations_is_the_chained_sum():
         want = want + p
     assert got == want and got.den == 6 and _integral(got)
     assert (got.caps, got.total) == (head.caps, head.total)
-    assert (3, 0) not in got.terms and (1, 2) not in got.terms
+    assert (3, 0) not in _values(got) and (1, 2) not in _values(got)
     assert got.coefficient((0, 0)) == (x(1) * 2 + x(2)) * Fraction(11, 6)
 
 
@@ -233,3 +243,74 @@ def test_series_sum_of_no_parts_is_an_equal_copy():
     assert copy == head and copy is not head and copy.den == head.den
     assert copy.sum([head]) == head * 2
     assert _values(head) == _values(_sum_parts()[0])
+
+
+# ---------------------------------------------------------------------------
+# laws on small random series: the flat (exponent, monomial) layout against
+# products of coefficients read through ``coefficient``
+
+LAW_SHAPE = TruncatedSeries(H, (2, 2), 3)
+LAW_GENS = [log(1), log(2), li((1, 2), (1,))]
+RATIONALS = st.fractions(min_value=-3, max_value=3, max_denominator=4)
+LAW_ELEMENTS = st.dictionaries(
+    st.lists(st.sampled_from(LAW_GENS), max_size=2).map(
+        lambda gs: tuple(sorted(gs))),
+    RATIONALS, max_size=3).map(lambda t: Element(H, t))
+LAW_SERIES = st.tuples(
+    st.dictionaries(st.tuples(st.integers(0, 2), st.integers(0, 2)),
+                    LAW_ELEMENTS, max_size=4),
+    st.sampled_from([1, 2, 6])).map(lambda t: LAW_SHAPE._like(*t))
+LINEAR_IMAGES = st.lists(st.tuples(st.integers(0, 1), st.fractions(
+    min_value=-2, max_value=2, max_denominator=2)), min_size=1, max_size=2)
+
+
+def _box(shape):
+    return [e for e in itertools.product(*(range(c + 1) for c in shape.caps))
+            if sum(e) <= shape.total]
+
+
+@settings(max_examples=40, deadline=None)
+@given(LAW_SERIES, LAW_SERIES)
+def test_product_coefficients_are_the_truncated_cauchy_sums(a, b):
+    got = a * b
+    box = _box(LAW_SHAPE)
+    for e in box:
+        want = Element.zero(H).sum(
+            a.coefficient(e1) * b.coefficient(e2) for e1 in box for e2 in box
+            if tuple(map(add, e1, e2)) == e)
+        assert got.coefficient(e) == want, e
+
+
+@settings(max_examples=40, deadline=None)
+@given(LAW_SERIES, LAW_ELEMENTS)
+def test_an_element_scales_like_a_constant_series(a, c):
+    assert a * c == c * a == a * a.constant(c)
+
+
+@settings(max_examples=40, deadline=None)
+@given(LAW_SERIES, LINEAR_IMAGES, LINEAR_IMAGES)
+def test_substitute_is_the_product_of_the_linear_images(s, im0, im1):
+    images = {0: im0, 1: im1}
+    target = TruncatedSeries(H, (3, 3), 3)
+    lins = [target.linear_form(images[v]) for v in (0, 1)]
+    want = target._like()
+    for e, c in s.coefficients().items():
+        piece = target.constant(c)
+        for v, k in enumerate(e):
+            for _ in range(k):
+                piece = piece * lins[v]
+        want = want + piece
+    assert s.substitute(images, target) == want
+
+
+@settings(max_examples=40, deadline=None)
+@given(LAW_SERIES, LAW_SERIES, LAW_ELEMENTS, RATIONALS)
+def test_numerators_stay_ints(a, b, c, r):
+    exp = LAW_SHAPE.exp_linear(c, [(0, 1), (1, -1)])
+    results = [a, exp, a.scale(r), a * r, a * c, a.sum([b, exp]), a - b,
+               a * b]
+    for x in results:
+        assert _integral(x) and x.den >= 1, x
+    # the exponential is exact: e^{c t0} e^{-c t1} = e^{c (t0 - t1)}
+    assert exp == (LAW_SHAPE.exp_linear(c, [(0, 1)])
+                   * LAW_SHAPE.exp_linear(c, [(1, -1)]))
