@@ -5,8 +5,8 @@ from operator import add
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from lihopf.algebra import H, Element, gen_elem, li, log
-from lihopf.coproduct import _inv_series, _inv_series_on
+from lihopf.algebra import H, HBAR, Element, gen_elem, li, log
+from lihopf.coproduct import _bracket_series, _inv_series, _inv_series_on
 from lihopf.lincomb import clear_caches
 from lihopf.series import TruncatedSeries
 
@@ -121,6 +121,21 @@ def test_equal_demands_share_one_inversion_series():
     again = _inv_series_on.cache_info()
     assert second is first
     assert (again.misses, again.hits) == (info.misses, info.hits + 1)
+
+
+def test_bracket_series_has_one_bracket_per_weight_tuple():
+    # slot u carries t_u, so t0^a t1^b holds the bracket of weights
+    # (a + 1, b + 1) alone, over den 1
+    shape = TruncatedSeries(HBAR, (1, 2))
+    s = _bracket_series(shape, (1, 2, 3), [[(0, 1)], [(1, 1)]], False)
+    assert s.den == 1 and len(s.terms) == 6
+    for a in range(2):
+        for b in range(3):
+            assert s.coefficient((a, b)) == gen_elem(
+                li((1, 2, 3), (a + 1, b + 1)), HBAR)
+    with pytest.raises(ValueError):
+        _bracket_series(shape, (1, 2, 3), [[(0, Fraction(1, 2))], [(1, 1)]],
+                        False)
 
 
 # ---------------------------------------------------------------------------
