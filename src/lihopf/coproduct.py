@@ -17,6 +17,18 @@ t_j = 0.  Each recursive series is kept only on the exponents its caller
 reads (a per-variable cap and a total-degree cap, derived from the one
 coefficient read at the end; see ``_inv_series``), one degree higher in
 t_j before a division by t_j, so those divisions are exact as well.
+
+Both series depend on a bracket's placement (its indices, and whether it
+is inverted), not on its weights, which only pick the coefficient read.
+Generators needed together are therefore batched by placement: each
+group's series is built once, on the join of its members' boxes (caps
+the per-slot maximum of their n - 1, total the largest |n - 1|), and
+every member reads its own coefficient off it.  The join keeps every
+exponent of every member's box, and the series are exact on whatever
+shape they keep, so a member reads the value it would read alone.  The
+memoized ``inv_generator`` and ``_coproduct_bar_generator`` are batches
+of one; ``coproduct_h`` batches the inversions of all its right-hand
+factors, and ``coproduct_generators`` a whole set of generators.
 """
 
 from .algebra import (
@@ -28,7 +40,7 @@ from .algebra import (
     gen_elem,
     li,
 )
-from .lincomb import extend, memo
+from .lincomb import collect, extend, memo
 from .series import TruncatedSeries
 # ``derive`` lives in tensor, next to the letters it is written in; it is
 # re-exported here because perfbench's tracer wraps lihopf.coproduct.derive
@@ -146,25 +158,70 @@ def _ij_choices(d):
 
 
 # ---------------------------------------------------------------------------
+# placement batches
+
+
+def _by_placement(gens, placement):
+    """The distinct generators gens grouped by placement(g), groups and
+    members in first-seen order (never a set's order: a generator hashes
+    its kind string, so that order moves with the hash seed)."""
+    groups = {}
+    for g in gens:
+        groups.setdefault(placement(g), []).append(g)
+    return groups.values()
+
+
+def _join(targets):
+    """(caps, total) of the smallest shape that keeps every box
+    {e <= target}: the per-slot maximum and the largest |target|."""
+    return tuple(map(max, zip(*targets))), max(map(sum, targets))
+
+
+# ---------------------------------------------------------------------------
 # the big-algebra coproduct
 
 @memo
 def _coproduct_bar_generator(g):
+    return _coproduct_bar_generators((g,))[g].frozen()
+
+
+def _coproduct_bar_generators(gens):
+    """{g: bar coproduct of g} for every generator of gens.  Brackets are
+    batched by placement: each (i, j) choice's series are built once per
+    group, on the join of the members' boxes, and every member reads its
+    own coefficient t^caps off them."""
     one = Element.one(HBAR)
-    if g.kind == LOG:
-        e = gen_elem(g, HBAR)
-        return (Tensor.of(e, one) + Tensor.of(one, e)).frozen()
+    zero = Tensor.zero((HBAR, HBAR))
+    out = {}
+    brackets = []
+    for g in dict.fromkeys(gens):
+        if g.kind == LOG:
+            e = gen_elem(g, HBAR)
+            out[g] = Tensor.of(e, one) + Tensor.of(one, e)
+        else:
+            brackets.append(g)
+    for group in _by_placement(brackets, lambda g: (g.indices, g.inverted)):
+        letters = _display_letters(group[0])[0]
+        targets = [_display_letters(g)[1] for g in group]
+        shape = TruncatedSeries(HBAR, *_join(targets))
+        accs = [{} for _ in group]
+        for pairs in _ij_choices(len(letters)):
+            sign, L, R = _bar_choice_series(letters, shape, pairs)
+            left, right = L.coefficients(), R.coefficients()
+            for target, acc in zip(targets, accs):
+                for e, ce in left.items():
+                    cf = right.get(tuple(t - x for t, x in zip(target, e)))
+                    if cf is not None:
+                        collect((Tensor.of(ce, cf) * sign).terms.items(), acc)
+        for g, acc in zip(group, accs):
+            out[g] = zero._new(acc)
+    return out
 
-    letters, caps = _display_letters(g)
-    shape = TruncatedSeries(HBAR, caps)
-    return Tensor.zero((HBAR, HBAR)).sum(
-        term for pairs in _ij_choices(len(letters))
-        for term in _bar_terms(letters, shape, pairs)).frozen()
 
-
-def _bar_terms(letters, shape, pairs):
-    """The tensors that one (i, j) choice adds to the coproduct of the
-    bracket with these display letters, read at t^caps."""
+def _bar_choice_series(letters, shape, pairs):
+    """(sign, L, R) for one (i, j) choice of the bracket with these display
+    letters: the product L * R, read at t^caps, is what the choice adds
+    to the coproduct of the bracket of weights caps + 1."""
     d = len(letters)
     # ---- left tensor factor: merged windows at the marked variables
     left_block = []
@@ -198,12 +255,7 @@ def _bar_terms(letters, shape, pairs):
                      [(r - 1, 1), (j - 1, -1)])
                     for r in range(j + 1, i_next)]
         R = R * _bracket_series(shape, *_normalize_block(regblock))
-
-    right = R.coefficients()
-    for e, ce in L.coefficients().items():
-        cf = right.get(tuple(t - x for t, x in zip(shape.caps, e)))
-        if cf is not None:
-            yield Tensor.of(ce, cf) * sign
+    return sign, L, R
 
 
 def coproduct_bar(e):
@@ -295,22 +347,39 @@ def _inv_series_on(p, vars_, caps, total):
 def inv_generator(g):
     """Inversion of a single generator: fixes regular ones, rewrites an
     inverted bracket as a plain-sort element."""
-    if not g.inverted:
-        return gen_elem(g, H).frozen()
-    d = g.depth
-    n = g.weights
-    # the one coefficient read is at t^(n-1)
-    target = tuple(w - 1 for w in n)
-    shape = TruncatedSeries(H, target)
-    val = _inv_series(g.indices, list(range(d)), shape).coefficient(target)
-    if sum(target) % 2:
-        # the stored-form extraction pairs each t with a minus sign
-        val = -val
-    return val.frozen()
+    return _inv_generators((g,))[g].frozen()
 
 
-def _inv_monomial(mon):
-    return extend(Element.from_monomial(mon, HBAR), inv_generator,
+def _inv_generators(gens):
+    """{g: inversion of g} for every generator of gens.  Inverted brackets
+    are batched by placement: each group's series is built once, on the
+    join of the members' boxes, and every member reads its one
+    coefficient t^(n-1) off it."""
+    out = {}
+    inverted = []
+    for g in dict.fromkeys(gens):
+        if g.inverted:
+            inverted.append(g)
+        else:
+            out[g] = gen_elem(g, H)
+    for group in _by_placement(inverted, lambda g: g.indices):
+        p = group[0].indices
+        targets = [tuple(w - 1 for w in g.weights) for g in group]
+        shape = TruncatedSeries(H, *_join(targets))
+        series = _inv_series(p, list(range(len(p) - 1)), shape)
+        for g, target in zip(group, targets):
+            val = series.coefficient(target)
+            if sum(target) % 2:
+                # the stored-form extraction pairs each t with a minus sign
+                val = -val
+            out[g] = val
+    return out
+
+
+def _inv_monomial(mon, image=None):
+    """The inversion of one monomial, its generators mapped by image (by
+    default ``inv_generator``)."""
+    return extend(Element.from_monomial(mon, HBAR), image or inv_generator,
                   Element.one(H))
 
 
@@ -322,13 +391,33 @@ def inv_element(e):
 # ---------------------------------------------------------------------------
 # the plain-sort coproduct and friends
 
+def _plain_coproducts(bars):
+    """The plain-sort coproducts of the bar coproducts in the list bars:
+    the inversions of all their right-hand factors are one batch, and
+    every left-hand factor is read in the plain sort."""
+    inv = _inv_generators(g for t in bars for _, rmon in t.terms
+                          for g in rmon).__getitem__
+    return [t.map_slot(1, lambda mon: _inv_monomial(mon, inv), sort=H)
+            .map_slot(0, lambda mon: Element.from_monomial(mon, H), sort=H)
+            for t in bars]
+
+
 def coproduct_h(e):
     """Coproduct on the plain sort: the big-algebra coproduct with the
     inversion map applied to every right-hand factor."""
-    t = coproduct_bar(e)
-    t = t.map_slot(1, _inv_monomial, sort=H)
-    t = t.map_slot(0, lambda mon: Element.from_monomial(mon, H), sort=H)
-    return t
+    return _plain_coproducts([coproduct_bar(e)])[0]
+
+
+def coproduct_generators(gens, sort):
+    """{g: coproduct of the generator g in the given sort} for every
+    generator of gens, computed as one batch: the bar coproducts first,
+    then (plain sort) the inversions of all their right-hand factors."""
+    bars = _coproduct_bar_generators(gens)
+    if sort == HBAR:
+        return bars
+    if sort == H:
+        return dict(zip(bars, _plain_coproducts(list(bars.values()))))
+    raise ValueError("no bracket coproduct on sort %r" % (sort,))
 
 
 def coproduct(e):

@@ -44,7 +44,8 @@ of ``linear`` and ``extend``) run it.
 Every sum is formed by one private loop, ``_accumulate``, which adds
 (key, coefficient) pairs into a dict in place and drops a key whose
 coefficient cancels.  ``LinComb._add`` (``+`` and ``-``), ``collect``
-(the terms of a sum of pairs) and ``LinComb.sum`` (self plus any number
+(the terms of a sum of pairs, in a new dict or added in place into one
+the caller owns) and ``LinComb.sum`` (self plus any number
 of combinations of its kind, into one dict) are the only ways a sum is
 formed.  A coefficient that is itself a combination (an Element of
 ``derive``, a Poly of a Form) is copied the first time its
@@ -297,10 +298,12 @@ def _accumulate(terms, pairs, sign=1):
                     grown.add(k)
 
 
-def collect(pairs):
+def collect(pairs, terms=None):
     """The terms of the sum of (key, coefficient) pairs: coefficients of
-    equal keys added, zero sums dropped."""
-    terms = {}
+    equal keys added, zero sums dropped.  Given ``terms``, a dict the
+    caller owns, the pairs are added into it in place."""
+    if terms is None:
+        terms = {}
     _accumulate(terms, pairs)
     return terms
 

@@ -24,7 +24,7 @@ from types import MappingProxyType
 
 from .algebra import (Element, H, HBAR, ZERO_VECTOR, gen_elem,
                       generator_to_vector, precede_key, vector_to_generator)
-from .coproduct import antipode, coproduct
+from .coproduct import antipode, coproduct_generators
 from .forms import Form, Poly, element_to_poly, poly_to_element, w_element
 from .lincomb import collect, memo
 from .tensor import derive
@@ -47,14 +47,22 @@ def _left_vector(lmon):
     return ZERO_VECTOR if not lmon else generator_to_vector(lmon[0])
 
 
-def _row_of(v, sort):
-    """Map column-key -> read-only Element for the row of one key."""
-    if v == ZERO_VECTOR:
-        return {ZERO_VECTOR: Element.one(sort).frozen()}
-    t = coproduct(gen_elem(vector_to_generator(v), sort))
-    row = collect((_left_vector(lmon), Element.from_monomial(rmon, sort, c))
-                  for (lmon, rmon), c in t.terms.items())
-    return {w: e.frozen() for w, e in row.items()}
+def _rows_of(keys, sort):
+    """{key: row} for every key of keys, each row a map column-key ->
+    read-only Element; the coproducts of the keys' generators are one
+    batch."""
+    gens = {v: vector_to_generator(v) for v in keys if v != ZERO_VECTOR}
+    tensors = coproduct_generators(gens.values(), sort)
+    rows = {}
+    for v in keys:
+        if v == ZERO_VECTOR:
+            rows[v] = {ZERO_VECTOR: Element.one(sort).frozen()}
+            continue
+        row = collect((_left_vector(lmon),
+                       Element.from_monomial(rmon, sort, c))
+                      for (lmon, rmon), c in tensors[gens[v]].terms.items())
+        rows[v] = {w: e.frozen() for w, e in row.items()}
+    return rows
 
 
 class VariationMatrix:
@@ -104,14 +112,14 @@ def build_V(nvec, sort=HBAR):
 
 @memo
 def _build_V(nvec, sort):
-    known = {k: _row_of(k, sort) for k in enumerate_keys(nvec)}
-    while True:
-        missing = {w for row in known.values() for w in row
-                   if w not in known}
-        if not missing:
-            break
-        for w in missing:
-            known[w] = _row_of(w, sort)
+    # each round of rows is one batch: the keys first enumerated, then the
+    # left slots not yet known, until none is missing
+    known = {}
+    keys = enumerate_keys(nvec)
+    while keys:
+        known.update(_rows_of(keys, sort))
+        keys = list(dict.fromkeys(w for row in known.values() for w in row
+                                  if w not in known))
     keys = sorted(known, key=precede_key)
     # rows are tuples of read-only entries: the cached matrix is shared by
     # every caller
