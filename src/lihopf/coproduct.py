@@ -25,10 +25,13 @@ group's series is built once, on the join of its members' boxes (caps
 the per-slot maximum of their n - 1, total the largest |n - 1|), and
 every member reads its own coefficient off it.  The join keeps every
 exponent of every member's box, and the series are exact on whatever
-shape they keep, so a member reads the value it would read alone.  The
-memoized ``inv_generator`` and ``_coproduct_bar_generator`` are batches
-of one; ``coproduct_h`` batches the inversions of all its right-hand
-factors, and ``coproduct_generators`` a whole set of generators.
+shape they keep, so a member reads the value it would read alone.  Each
+batch is a per-generator store (``batch_memo``) that computes only the
+generators it does not hold, and the one route to its values:
+``coproduct_bar`` and ``inv_element`` ask it for the generators of their
+argument, ``coproduct_h`` for all its right-hand inversions,
+``coproduct_generators`` (and so ``build_V``) for a whole set, and
+``inv_generator`` for one.
 """
 
 from .algebra import (
@@ -40,7 +43,7 @@ from .algebra import (
     gen_elem,
     li,
 )
-from .lincomb import collect, extend, memo
+from .lincomb import batch_memo, collect, extend, memo
 from .series import TruncatedSeries
 # ``derive`` lives in tensor, next to the letters it is written in; it is
 # re-exported here because perfbench's tracer wraps lihopf.coproduct.derive
@@ -180,11 +183,7 @@ def _join(targets):
 # ---------------------------------------------------------------------------
 # the big-algebra coproduct
 
-@memo
-def _coproduct_bar_generator(g):
-    return _coproduct_bar_generators((g,))[g].frozen()
-
-
+@batch_memo
 def _coproduct_bar_generators(gens):
     """{g: bar coproduct of g} for every generator of gens.  Brackets are
     batched by placement: each (i, j) choice's series are built once per
@@ -194,7 +193,7 @@ def _coproduct_bar_generators(gens):
     zero = Tensor.zero((HBAR, HBAR))
     out = {}
     brackets = []
-    for g in dict.fromkeys(gens):
+    for g in gens:
         if g.kind == LOG:
             e = gen_elem(g, HBAR)
             out[g] = Tensor.of(e, one) + Tensor.of(one, e)
@@ -261,7 +260,8 @@ def _bar_choice_series(letters, shape, pairs):
 def coproduct_bar(e):
     """The coproduct of the extended algebra, on any Element."""
     one = Element.one(HBAR)
-    return extend(e, _coproduct_bar_generator, Tensor.of(one, one))
+    bars = _coproduct_bar_generators(g for mon in e.terms for g in mon)
+    return extend(e, bars.__getitem__, Tensor.of(one, one))
 
 
 # ---------------------------------------------------------------------------
@@ -343,13 +343,13 @@ def _inv_series_on(p, vars_, caps, total):
     return shape.sum(terms()).frozen()
 
 
-@memo
 def inv_generator(g):
     """Inversion of a single generator: fixes regular ones, rewrites an
     inverted bracket as a plain-sort element."""
-    return _inv_generators((g,))[g].frozen()
+    return _inv_generators((g,))[g]
 
 
+@batch_memo
 def _inv_generators(gens):
     """{g: inversion of g} for every generator of gens.  Inverted brackets
     are batched by placement: each group's series is built once, on the
@@ -357,7 +357,7 @@ def _inv_generators(gens):
     coefficient t^(n-1) off it."""
     out = {}
     inverted = []
-    for g in dict.fromkeys(gens):
+    for g in gens:
         if g.inverted:
             inverted.append(g)
         else:
@@ -376,16 +376,16 @@ def _inv_generators(gens):
     return out
 
 
-def _inv_monomial(mon, image=None):
-    """The inversion of one monomial, its generators mapped by image (by
-    default ``inv_generator``)."""
-    return extend(Element.from_monomial(mon, HBAR), image or inv_generator,
-                  Element.one(H))
+def _inv_monomial(mon):
+    """The inversion of one monomial."""
+    return extend(Element.from_monomial(mon, HBAR),
+                  _inv_generators(mon).__getitem__, Element.one(H))
 
 
 def inv_element(e):
     """Inversion applied to a whole Element (multiplicatively)."""
-    return extend(e, inv_generator, Element.one(H))
+    inv = _inv_generators(g for mon in e.terms for g in mon)
+    return extend(e, inv.__getitem__, Element.one(H))
 
 
 # ---------------------------------------------------------------------------
@@ -395,9 +395,8 @@ def _plain_coproducts(bars):
     """The plain-sort coproducts of the bar coproducts in the list bars:
     the inversions of all their right-hand factors are one batch, and
     every left-hand factor is read in the plain sort."""
-    inv = _inv_generators(g for t in bars for _, rmon in t.terms
-                          for g in rmon).__getitem__
-    return [t.map_slot(1, lambda mon: _inv_monomial(mon, inv), sort=H)
+    _inv_generators(g for t in bars for _, rmon in t.terms for g in rmon)
+    return [t.map_slot(1, _inv_monomial, sort=H)
             .map_slot(0, lambda mon: Element.from_monomial(mon, H), sort=H)
             for t in bars]
 
@@ -412,12 +411,12 @@ def coproduct_generators(gens, sort):
     """{g: coproduct of the generator g in the given sort} for every
     generator of gens, computed as one batch: the bar coproducts first,
     then (plain sort) the inversions of all their right-hand factors."""
+    if sort not in (H, HBAR):
+        raise ValueError("no bracket coproduct on sort %r" % (sort,))
     bars = _coproduct_bar_generators(gens)
     if sort == HBAR:
         return bars
-    if sort == H:
-        return dict(zip(bars, _plain_coproducts(list(bars.values()))))
-    raise ValueError("no bracket coproduct on sort %r" % (sort,))
+    return dict(zip(bars, _plain_coproducts(list(bars.values()))))
 
 
 def coproduct(e):

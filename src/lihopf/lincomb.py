@@ -56,10 +56,12 @@ Structure maps are given on generators and extended by ``extend``
 (linear over terms, multiplicative over each monomial); maps given on
 keys are extended by ``linear``.  Maps whose values are fixed by their
 arguments (a map on generators, words or weight vectors) are memoized
-per process by ``memo``; ``clear_caches`` empties every such memo.
+per process by ``memo``, or per key by ``batch_memo``; ``clear_caches``
+empties every such memo.
 """
 
 import functools
+from collections import namedtuple
 from fractions import Fraction
 from itertools import chain
 from types import MappingProxyType
@@ -256,6 +258,52 @@ def memo(fn):
     must return one they cannot change: a ``frozen()`` combination, a
     tuple, a read-only mapping.  Exceptions are not cached."""
     cached = functools.cache(fn)
+    MEMOS.append(cached)
+    return cached
+
+
+_CacheInfo = namedtuple("CacheInfo", "hits misses maxsize currsize")
+
+
+class BatchMemo:
+    """A per-key memo of ``batch(keys)``, a map computed for many keys at
+    once: ``batch`` takes a list of distinct keys and returns a dict with
+    a combination for each.  Calling the memo with an iterable of keys
+    returns {key: value} in first-seen order; the keys not yet stored go
+    to ``batch`` as one list, in that order, and each value is stored
+    ``frozen()``.  A batch that raises stores nothing.  Like a ``memo``
+    it answers ``cache_info()`` (hits and misses count keys) and
+    ``cache_clear()``."""
+
+    def __init__(self, batch):
+        self.__wrapped__ = batch
+        self.cache_clear()
+
+    def __call__(self, keys):
+        store = self._store
+        out = dict.fromkeys(keys)
+        missing = [k for k in out if k not in store]
+        if missing:
+            values = self.__wrapped__(missing)
+            store.update((k, values[k].frozen()) for k in missing)
+            self._misses += len(missing)
+        self._hits += len(out) - len(missing)
+        for k in out:
+            out[k] = store[k]
+        return out
+
+    def cache_info(self):
+        return _CacheInfo(self._hits, self._misses, None, len(self._store))
+
+    def cache_clear(self):
+        self._store = {}
+        self._hits = self._misses = 0
+
+
+def batch_memo(batch):
+    """``batch`` memoized per key by a ``BatchMemo``, registered in
+    ``MEMOS``."""
+    cached = BatchMemo(batch)
     MEMOS.append(cached)
     return cached
 

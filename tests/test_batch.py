@@ -1,19 +1,22 @@
 """Placement batches.  The bar coproducts and inversions of a group of
 generators on one placement are read off series built once, on the join
 of the members' boxes; each member must get the value it gets alone, in
-any order of the group, and two deep documents stay byte-identical."""
+any order of the group, and two deep documents stay byte-identical.
+Every route to a bar coproduct or an inversion reads the two per-generator
+stores that these batches fill."""
 
 import hashlib
 import json
 
+import pytest
 from hypothesis import given, settings, strategies as st
 
 from lihopf import clear_caches
-from lihopf.algebra import H, HBAR, Element, gen_elem, li
+from lihopf.algebra import (H, HBAR, ITER, ZERO_VECTOR, Element, gen_elem, li,
+                            vector_to_generator)
 from lihopf.coproduct import (
     _coproduct_bar_generators,
     _inv_generators,
-    _inv_monomial,
     coproduct_bar,
     coproduct_generators,
     coproduct_h,
@@ -21,6 +24,7 @@ from lihopf.coproduct import (
 )
 from lihopf.expr import element_document, matrix_document, parse
 from lihopf.expr import tensor_document
+from lihopf.lincomb import extend
 from lihopf.variation import build_V
 
 
@@ -40,8 +44,12 @@ def placement_groups(draw):
 def _alone_h(g):
     """The plain-sort coproduct of g, each right-hand generator inverted
     on its own by ``inv_generator``."""
+    def inv_monomial(mon):
+        return extend(Element.from_monomial(mon, HBAR), inv_generator,
+                      Element.one(H))
+
     return (coproduct_bar(gen_elem(g, H))
-            .map_slot(1, _inv_monomial, sort=H)
+            .map_slot(1, inv_monomial, sort=H)
             .map_slot(0, lambda mon: Element.from_monomial(mon, H), sort=H))
 
 
@@ -69,6 +77,34 @@ def test_a_batch_equals_its_members_alone(drawn):
             for g in group:
                 clear_caches()
                 assert plain[g] == _alone_h(g), g
+
+
+def _misses():
+    return (_coproduct_bar_generators.cache_info().misses,
+            _inv_generators.cache_info().misses)
+
+
+def test_build_V_fills_the_stores_that_coproduct_h_reads():
+    clear_caches()
+    V = build_V((2, 1), H)
+    misses = _misses()
+    gens = [vector_to_generator(v) for v in V.keys if v != ZERO_VECTOR]
+    for g in gens:
+        coproduct_h(gen_elem(g, H))
+    rights = [h for t in _coproduct_bar_generators(gens).values()
+              for _, rmon in t.terms for h in rmon]
+    stored = _inv_generators(rights)
+    assert any(h.inverted for h in rights)
+    for h in rights:
+        assert inv_generator(h) is stored[h]
+    assert _misses() == misses
+
+
+def test_coproduct_generators_checks_the_sort_before_computing():
+    clear_caches()
+    with pytest.raises(ValueError):
+        coproduct_generators([li((1, 2, 3), (2, 1))], ITER)
+    assert _misses() == (0, 0)
 
 
 def _sha256(doc):

@@ -12,7 +12,8 @@ import pytest
 import lihopf
 from lihopf import clear_caches
 from lihopf.algebra import H, gen_elem, li
-from lihopf.coproduct import _coproduct_bar_generator, inv_generator
+from lihopf.coproduct import (_coproduct_bar_generators, _inv_generators,
+                              inv_generator)
 from lihopf.forms import w_element
 from lihopf.iterint import (ONE, ZERO, IGenerator, InvProduct,
                             canonical_symbol, phi)
@@ -31,12 +32,12 @@ def _warm():
 
 def test_clear_caches_empties_every_memo():
     memos = {m.__wrapped__.__qualname__: m for m in MEMOS}
-    assert {"_coproduct_bar_generator", "_inv_series_on", "inv_generator",
+    assert {"_coproduct_bar_generators", "_inv_series_on", "_inv_generators",
             "_antipode_generator", "shuffle_words", "_pi_word",
             "_symbol_monomial", "_w_monomial", "_build_V",
             "phi"} <= set(memos)
     warm = _warm()
-    for name in ("inv_generator", "_build_V", "_symbol_monomial",
+    for name in ("_inv_generators", "_build_V", "_symbol_monomial",
                  "_w_monomial", "phi"):
         assert memos[name].cache_info().currsize, name
     clear_caches()
@@ -61,7 +62,7 @@ def test_symbol_never_reaches_the_coproduct():
     symbol(gen_elem(li((1, 2, 3, 4), (2, 2, 2)), H)
            * gen_elem(li((2, 3), (1,)), H))
     assert memos["_symbol_monomial"].cache_info().currsize
-    for name in ("inv_generator", "_coproduct_bar_generator",
+    for name in ("_inv_generators", "_coproduct_bar_generators",
                  "_inv_series_on"):
         assert memos[name].cache_info().currsize == 0, name
 
@@ -83,8 +84,8 @@ def test_cached_results_hold_no_integral_fraction():
             indices = tuple(range(2, d + 3))
             for inverted in (False, True):
                 g = li(indices, n, inverted)
-                assert _canonical(_coproduct_bar_generator(g)), g
-                assert _canonical(inv_generator(g)), g
+                assert _canonical(_coproduct_bar_generators([g])[g]), g
+                assert _canonical(_inv_generators([g])[g]), g
             assert _canonical(phi(canonical_symbol(indices, n))), n
     assert _canonical(phi(IGenerator(ZERO, (InvProduct(1, 2), ZERO,
                                              InvProduct(2, 2)), ONE)))

@@ -13,7 +13,8 @@ from lihopf.algebra import H, HBAR, ITER, Element, gen_elem, li, log
 from lihopf.expr import element_document
 from lihopf.forms import Form, Poly, w_element
 from lihopf.iterint import ONE, ZERO, IGenerator, InvProduct
-from lihopf.lincomb import LinComb, as_fraction, clear_caches, collect
+from lihopf.lincomb import (BatchMemo, LinComb, as_fraction, clear_caches,
+                            collect)
 from lihopf.series import TruncatedSeries
 from lihopf.tensor import Tensor, WordSum, u_, v_
 
@@ -285,3 +286,40 @@ def test_sum_conforms_like_plus_and_refuses_other_kinds():
         Form(1).sum([Form(2)])
     with pytest.raises(TypeError):
         Poly().sum([Form(0)])
+
+
+def _recording_store(calls):
+    """A private BatchMemo (not in ``MEMOS``) of k -> 1/k that records
+    the keys of every batch it runs."""
+    def batch(keys):
+        calls.append(keys)
+        return {k: Element.constant(Fraction(1, k), H) for k in keys}
+    return BatchMemo(batch)
+
+
+def test_a_batch_memo_passes_only_its_missing_keys_in_first_seen_order():
+    calls = []
+    store = _recording_store(calls)
+    first = store([3, 1, 3])
+    assert calls == [[3, 1]] and list(first) == [3, 1]
+    again = store(iter([2, 1, 4, 2]))
+    assert calls == [[3, 1], [2, 4]] and list(again) == [2, 1, 4]
+    assert again[1] is first[1]
+    assert again[4] == Element.constant(Fraction(1, 4), H)
+    with pytest.raises(TypeError):
+        again[4].terms[()] = 1
+    assert store([1, 3]) == {1: first[1], 3: first[3]}
+    assert len(calls) == 2
+    assert store.cache_info() == (3, 4, None, 4)
+    store.cache_clear()
+    assert store.cache_info() == (0, 0, None, 0)
+
+
+def test_a_batch_memo_stores_nothing_when_its_batch_raises():
+    calls = []
+    store = _recording_store(calls)
+    with pytest.raises(ZeroDivisionError):
+        store([2, 0])
+    assert store.cache_info() == (0, 0, None, 0)
+    assert store([2]) == {2: Element.constant(Fraction(1, 2), H)}
+    assert calls == [[2, 0], [2]]
