@@ -25,13 +25,13 @@ group's series is built once, on the join of its members' boxes (caps
 the per-slot maximum of their n - 1, total the largest |n - 1|), and
 every member reads its own coefficient off it.  The join keeps every
 exponent of every member's box, and the series are exact on whatever
-shape they keep, so a member reads the value it would read alone.  Each
-batch is a per-generator store (``batch_memo``) that computes only the
-generators it does not hold, and the one route to its values:
-``coproduct_bar`` and ``inv_element`` ask it for the generators of their
-argument, ``coproduct_h`` for all its right-hand inversions,
-``coproduct_generators`` (and so ``build_V``) for a whole set, and
-``inv_generator`` for one.
+shape they keep, so a member reads the value it would read alone.  The two
+coproducts and the inversion each have one per-generator store
+(``batch_memo``), the one route to their values, which computes only the
+generators it does not hold; the plain-sort store fills its misses from the
+other two.  ``coproduct_bar``, ``coproduct_h`` and ``inv_element`` ask
+theirs for the generators of their argument, ``coproduct_generators`` (and
+so ``build_V``) for a whole set, and ``inv_generator`` for one.
 """
 
 from .algebra import (
@@ -376,12 +376,6 @@ def _inv_generators(gens):
     return out
 
 
-def _inv_monomial(mon):
-    """The inversion of one monomial."""
-    return extend(Element.from_monomial(mon, HBAR),
-                  _inv_generators(mon).__getitem__, Element.one(H))
-
-
 def inv_element(e):
     """Inversion applied to a whole Element (multiplicatively)."""
     inv = _inv_generators(g for mon in e.terms for g in mon)
@@ -391,32 +385,37 @@ def inv_element(e):
 # ---------------------------------------------------------------------------
 # the plain-sort coproduct and friends
 
-def _plain_coproducts(bars):
-    """The plain-sort coproducts of the bar coproducts in the list bars:
-    the inversions of all their right-hand factors are one batch, and
-    every left-hand factor is read in the plain sort."""
-    _inv_generators(g for t in bars for _, rmon in t.terms for g in rmon)
-    return [t.map_slot(1, _inv_monomial, sort=H)
+@batch_memo
+def _coproduct_h_generators(gens):
+    """{g: plain-sort coproduct of g} for every generator of gens: their
+    bar coproducts are one batch, the inversions of all right-hand factors
+    another; a left-hand factor is read in H, so an inverted one raises."""
+    bars = _coproduct_bar_generators(gens)
+    inv = _inv_generators(h for t in bars.values() for _, rmon in t.terms
+                          for h in rmon)
+    one = Element.one(H)
+
+    def right(mon):
+        return extend(Element.from_monomial(mon, HBAR), inv.__getitem__, one)
+    return {g: t.map_slot(1, right, sort=H)
             .map_slot(0, lambda mon: Element.from_monomial(mon, H), sort=H)
-            for t in bars]
+            for g, t in bars.items()}
 
 
 def coproduct_h(e):
-    """Coproduct on the plain sort: the big-algebra coproduct with the
-    inversion map applied to every right-hand factor."""
-    return _plain_coproducts([coproduct_bar(e)])[0]
+    """The plain-sort coproduct: the bar coproduct, right factors inverted."""
+    one = Element.one(H)
+    plain = _coproduct_h_generators(g for mon in e.terms for g in mon)
+    return extend(e, plain.__getitem__, Tensor.of(one, one))
 
 
 def coproduct_generators(gens, sort):
     """{g: coproduct of the generator g in the given sort} for every
-    generator of gens, computed as one batch: the bar coproducts first,
-    then (plain sort) the inversions of all their right-hand factors."""
+    generator of gens, read from that sort's store as one batch."""
     if sort not in (H, HBAR):
         raise ValueError("no bracket coproduct on sort %r" % (sort,))
-    bars = _coproduct_bar_generators(gens)
-    if sort == HBAR:
-        return bars
-    return dict(zip(bars, _plain_coproducts(list(bars.values()))))
+    return (_coproduct_bar_generators if sort == HBAR
+            else _coproduct_h_generators)(gens)
 
 
 def coproduct(e):

@@ -463,23 +463,17 @@ def _suite_coassoc(rep, max_weight=None, max_depth=None, seed=0):
     mw = 4 if max_weight is None else max_weight
     md = 3 if max_depth is None else max_depth
 
-    def splitter(sort):
-        cop = coproduct_bar if sort == HBAR else coproduct_h
-
+    def coassociative(t):
         def split(mon):
-            return cop(Element.from_monomial(mon, sort))
-        return split
+            return coproduct(Element.from_monomial(mon, t.sorts[0]))
+        return t.expand_slot(0, split) == t.expand_slot(1, split)
 
-    split_b = splitter(HBAR)
     for g in bracket_generators(mw, md, include_inverted=True):
-        t = coproduct_bar(gen_elem(g, HBAR))
         rep.check("extended coproduct coassociative at %s" % (g,),
-                  t.expand_slot(0, split_b) == t.expand_slot(1, split_b))
-    split_h = splitter(H)
+                  coassociative(coproduct_bar(gen_elem(g, HBAR))))
     for g in bracket_generators(mw, min(md, 2), include_inverted=False):
-        t = coproduct_h(gen_elem(g, H))
         rep.check("plain coproduct coassociative at %s" % (g,),
-                  t.expand_slot(0, split_h) == t.expand_slot(1, split_h))
+                  coassociative(coproduct_h(gen_elem(g, H))))
 
 
 # ---------------------------------------------------------------------------

@@ -2,11 +2,13 @@
 generators on one placement are read off series built once, on the join
 of the members' boxes; each member must get the value it gets alone, in
 any order of the group, and two deep documents stay byte-identical.
-Every route to a bar coproduct or an inversion reads the two per-generator
-stores that these batches fill."""
+Every route to a bar coproduct, an inversion or a plain-sort coproduct
+reads the per-generator store that these batches fill, and the
+plain-sort store agrees with the route that remaps the bar coproduct."""
 
 import hashlib
 import json
+from fractions import Fraction
 
 import pytest
 from hypothesis import given, settings, strategies as st
@@ -16,6 +18,7 @@ from lihopf.algebra import (H, HBAR, ITER, ZERO_VECTOR, Element, gen_elem, li,
                             vector_to_generator)
 from lihopf.coproduct import (
     _coproduct_bar_generators,
+    _coproduct_h_generators,
     _inv_generators,
     coproduct_bar,
     coproduct_generators,
@@ -41,14 +44,24 @@ def placement_groups(draw):
     return indices, weights, order
 
 
-def _alone_h(g):
-    """The plain-sort coproduct of g, each right-hand generator inverted
-    on its own by ``inv_generator``."""
+@st.composite
+def regular_generators(draw):
+    """A regular bracket of depth <= 2 and weights <= 3 on indices <= 5."""
+    d = draw(st.integers(1, 2))
+    indices = sorted(draw(st.sets(st.integers(1, 5), min_size=d + 1,
+                                  max_size=d + 1)))
+    return li(indices, draw(st.tuples(*[st.integers(1, 3)] * d)))
+
+
+def _alone_h(e):
+    """The plain-sort coproduct of the Element e by remapping its bar
+    coproduct: each right-hand generator inverted on its own by
+    ``inv_generator``, each left-hand monomial read in H."""
     def inv_monomial(mon):
         return extend(Element.from_monomial(mon, HBAR), inv_generator,
                       Element.one(H))
 
-    return (coproduct_bar(gen_elem(g, H))
+    return (coproduct_bar(e)
             .map_slot(1, inv_monomial, sort=H)
             .map_slot(0, lambda mon: Element.from_monomial(mon, H), sort=H))
 
@@ -76,12 +89,48 @@ def test_a_batch_equals_its_members_alone(drawn):
             plain = coproduct_generators(group, H)
             for g in group:
                 clear_caches()
-                assert plain[g] == _alone_h(g), g
+                assert plain[g] == _alone_h(gen_elem(g, H)), g
+
+
+@settings(max_examples=25, deadline=None)
+@given(st.lists(regular_generators(), min_size=1, max_size=3),
+       st.fractions(-4, 4, max_denominator=5).filter(bool))
+def test_coproduct_h_is_multiplicative(gens, c):
+    # the plain-sort store holds generators only: on a product its
+    # values must multiply to the remapped bar coproduct
+    e = Element.from_monomial(gens, H, c)
+    clear_caches()
+    want = _alone_h(e)
+    assert coproduct_h(e) == want
+    assert coproduct_h(e) == want
 
 
 def _misses():
     return (_coproduct_bar_generators.cache_info().misses,
-            _inv_generators.cache_info().misses)
+            _inv_generators.cache_info().misses,
+            _coproduct_h_generators.cache_info().misses)
+
+
+def test_a_warm_coproduct_h_reads_only_the_plain_store():
+    g1, g2, g3 = li((1, 2, 3), (2, 1)), li((2, 3), (1,)), li((1, 3, 4), (1, 2))
+    e = (gen_elem(g1, H) * gen_elem(g2, H) * Fraction(1, 2)
+         + gen_elem(g1, H) * gen_elem(g3, H) * 3)
+    want = coproduct_h(e)
+    others = (_coproduct_bar_generators.cache_info(),
+              _inv_generators.cache_info())
+    hits = _coproduct_h_generators.cache_info().hits
+    assert coproduct_h(e) == want
+    assert (_coproduct_bar_generators.cache_info(),
+            _inv_generators.cache_info()) == others
+    assert _coproduct_h_generators.cache_info().hits == hits + 3
+
+
+def test_an_inverted_generator_has_no_plain_coproduct():
+    clear_caches()
+    with pytest.raises(ValueError):
+        coproduct_generators([li((1, 2, 3), (2, 1), inverted=True)], H)
+    info = _coproduct_h_generators.cache_info()
+    assert (info.misses, info.currsize) == (0, 0)
 
 
 def test_build_V_fills_the_stores_that_coproduct_h_reads():
@@ -104,7 +153,7 @@ def test_coproduct_generators_checks_the_sort_before_computing():
     clear_caches()
     with pytest.raises(ValueError):
         coproduct_generators([li((1, 2, 3), (2, 1))], ITER)
-    assert _misses() == (0, 0)
+    assert _misses() == (0, 0, 0)
 
 
 def _sha256(doc):

@@ -32,10 +32,10 @@ def _warm():
 
 def test_clear_caches_empties_every_memo():
     memos = {m.__wrapped__.__qualname__: m for m in MEMOS}
-    assert {"_coproduct_bar_generators", "_inv_series_on", "_inv_generators",
-            "_antipode_generator", "shuffle_words", "_pi_word",
-            "_symbol_monomial", "_w_monomial", "_build_V",
-            "phi"} <= set(memos)
+    assert {"_coproduct_bar_generators", "_coproduct_h_generators",
+            "_inv_series_on", "_inv_generators", "_antipode_generator",
+            "shuffle_words", "_pi_word", "_symbol_monomial", "_w_monomial",
+            "_build_V", "phi"} <= set(memos)
     warm = _warm()
     for name in ("_inv_generators", "_build_V", "_symbol_monomial",
                  "_w_monomial", "phi"):
