@@ -11,7 +11,6 @@ from .algebra import (
     Generator,
     apply_contraction,
     compose,
-    contract,
     expand_log,
     gen_elem,
     generator_to_vector,
@@ -75,7 +74,6 @@ __all__ = [
     "clear_caches",
     "cobracket_rep",
     "compose",
-    "contract",
     "coproduct",
     "coproduct_bar",
     "coproduct_h",

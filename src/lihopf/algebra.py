@@ -37,7 +37,7 @@ integral Fraction produced by arithmetic equals and hashes like the int.
 
 from typing import NamedTuple
 
-from .lincomb import LinComb, extend, is_rational
+from .lincomb import LinComb, extend
 
 H = "H"
 HBAR = "Hbar"
@@ -169,8 +169,8 @@ class Element(LinComb):
     """A finite Q-linear combination of monomials, tagged with its sort:
     H, Hbar (brackets) or I (iterated-integral symbols).
 
-    Arithmetic requires equal sorts; a constant (scalar multiple of the
-    empty monomial) is sort-agnostic and adopts the other operand's sort.
+    Arithmetic requires equal sorts, constants included; a rational
+    operand is lifted to a constant of the other operand's sort.
     """
 
     __slots__ = ("sort",)
@@ -221,9 +221,6 @@ class Element(LinComb):
 
     # -- queries -----------------------------------------------------------
 
-    def is_constant(self):
-        return all(mon == () for mon in self.terms)
-
     def constant_term(self):
         return self.terms.get((), 0)
 
@@ -239,9 +236,6 @@ class Element(LinComb):
         return self._new({m: c for m, c in self.terms.items()
                           if monomial_weight(m) == n})._check()
 
-    def max_weight(self):
-        return max((monomial_weight(m) for m in self.terms), default=0)
-
     def as_sort(self, sort):
         return Element(sort, self.terms)
 
@@ -251,21 +245,7 @@ class Element(LinComb):
         return Element.constant(c, self.sort)
 
     def _same_shape(self, other):
-        return self.sort == other.sort or self.is_constant()
-
-    def _join(self, other):
-        if other.__class__ is not Element:
-            if is_rational(other):
-                other = self._lift(other)
-            elif not isinstance(other, Element):
-                return None
-        if self.sort == other.sort:
-            return self, other
-        if self.is_constant():
-            return self.as_sort(other.sort), other
-        if other.is_constant():
-            return self, other.as_sort(self.sort)
-        raise ValueError("sort mismatch: %s vs %s" % (self.sort, other.sort))
+        return self.sort == other.sort
 
     # kept in the class namespace: operator tracing (perfbench/tracer.py)
     # wraps them per class
@@ -376,15 +356,6 @@ def check_contraction(c):
     if len(c) < 2 or c[0] < 1 or any(a >= b for a, b in zip(c, c[1:])):
         raise ValueError("contraction must be strictly increasing, length >= 2")
     return c
-
-
-def contract(c, depth_n):
-    """The window mapping of c into a depth-``depth_n`` world: slot s
-    (1-based) goes to the window [i_s, i_{s+1})."""
-    c = check_contraction(c)
-    if c[-1] > depth_n + 1:
-        raise ValueError("contraction out of range for depth %d" % depth_n)
-    return tuple((c[s], c[s + 1]) for s in range(len(c) - 1))
 
 
 def compose(i, j):

@@ -285,11 +285,6 @@ def _pullback_images(c):
     return images, dimages
 
 
-def pullback_poly(c, p):
-    images, _ = _pullback_images(tuple(c))
-    return p.substitute(images)
-
-
 def pullback_form(c, f):
     images, dimages = _pullback_images(tuple(c))
     return Form(f.degree).sum(

@@ -7,12 +7,14 @@ free commutative algebra on the symbols is the sort I of ``Element``
 (``integral(g)`` is the symbol g as an element, and an empty integral is
 1); its subsequence coproduct is a ``Tensor`` of sorts (I, I).  The
 evaluation map phi sends each polylogarithmic symbol into the inverted
-bracket algebra.  phi is computed with the same truncated-series engine
-as the bracket coproduct: interior zeros become powers of a formal
-variable attached to the preceding nonzero point, and the series of a
-zero-free skeleton is built by three rules (a bracket series of ratio
-windows when the path starts at 0, a sign-and-reverse when it ends at 0,
-a split over the basepoint when it does neither).
+bracket algebra.  A path between two nonzero points is first split at the
+basepoint 0 (``gamma_gen``, Goncharov's path composition), so each piece
+starts or ends at 0.  Such a piece is computed with the same
+truncated-series engine as the bracket coproduct: interior zeros become
+powers of a formal variable attached to the preceding nonzero point, and
+the series of a zero-free skeleton is built by two rules (a bracket
+series of ratio windows when the path starts at 0, a sign-and-reverse
+when it ends at 0).
 """
 
 from __future__ import annotations
@@ -214,48 +216,41 @@ def is_polylogarithmic(g: IGenerator) -> bool:
     return all(a[1] == b[0] for a, b in zip(wins, wins[1:]))
 
 
-def _phi_series(start, letters, end, off, shape):
-    """Series of the zero-stripped skeleton in the variables
-    off .. off+len(letters) of the ambient truncated-series shape."""
+def _phi_series(start, letters, end, shape):
+    """Series of the zero-stripped skeleton of a path that starts or ends
+    at 0, in the variables of the truncated-series shape."""
     d = len(letters)
     zero_series = shape._like()
     if start == ZERO and end == ZERO:
         return zero_series if d else shape.constant(1)
     if end == ZERO:
-        inner_caps = tuple(shape.caps[off + d - r] for r in range(d + 1))
-        inner = TruncatedSeries(shape.sort, inner_caps)
-        rev = _phi_series(ZERO, letters[::-1], start, 0, inner)
-        images = {r: [(off + d - r, -1)] for r in range(d + 1)}
+        inner = TruncatedSeries(shape.sort, shape.caps[::-1])
+        rev = _phi_series(ZERO, letters[::-1], start, inner)
+        images = {r: [(d - r, -1)] for r in range(d + 1)}
         return rev.substitute(images, shape) * (-1) ** d
-    if start == ZERO:
-        out = shape.constant(1)
-        if d:
-            chain = list(letters) + [end]
-            block = []
-            for k in range(d):
-                w = _ratio(chain[k], chain[k + 1])
-                if w is None:
-                    raise ValueError(f"ratio {chain[k]!r} -> {chain[k+1]!r}"
-                                     " is not a letter window")
-                if w == "unit":
-                    return zero_series
-                targ = [(off + k + 1, 1), (off, -1)]
-                block.append(((w[0], w[1]), w[2], targ))
-            norm = _normalize_block(block)
-            if norm is None:
+    out = shape.constant(1)
+    if d:
+        chain = list(letters) + [end]
+        block = []
+        for k in range(d):
+            w = _ratio(chain[k], chain[k + 1])
+            if w is None:
+                raise ValueError(f"ratio {chain[k]!r} -> {chain[k+1]!r}"
+                                 " is not a letter window")
+            if w == "unit":
                 return zero_series
-            indices, targs, inverted = norm
-            out = _bracket_series(shape, indices, targs, inverted)
-            out = out * (-1) ** d
-        window = _interval(end)
-        if window is not None:
-            out = out * _window_exp(shape.caps, shape.total, shape.sort,
-                                    window, True, off)
-        return out
-    return zero_series.sum(
-        _phi_series(start, letters[:j], ZERO, off, shape)
-        * _phi_series(ZERO, letters[j:], end, off + j, shape)
-        for j in range(d + 1))
+            block.append(((w[0], w[1]), w[2], [(k + 1, 1), (0, -1)]))
+        norm = _normalize_block(block)
+        if norm is None:
+            return zero_series
+        indices, targs, inverted = norm
+        out = _bracket_series(shape, indices, targs, inverted)
+        out = out * (-1) ** d
+    window = _interval(end)
+    if window is not None:
+        out = out * _window_exp(shape.caps, shape.total, shape.sort,
+                                window, True, 0)
+    return out
 
 
 @memo
@@ -264,6 +259,8 @@ def phi(g: IGenerator) -> Element:
     algebra."""
     if not is_polylogarithmic(g):
         raise ValueError(f"{g!r} is not polylogarithmic")
+    if g.start != ZERO and g.end != ZERO:
+        return phi_element(gamma_gen(g)).frozen()
     runs = [0]
     letters = []
     for p in g.word:
@@ -274,7 +271,7 @@ def phi(g: IGenerator) -> Element:
             runs.append(0)
     caps = tuple(runs)
     shape = TruncatedSeries(HBAR, caps)
-    series = _phi_series(g.start, tuple(letters), g.end, 0, shape)
+    series = _phi_series(g.start, tuple(letters), g.end, shape)
     return series.coefficient(caps).frozen()
 
 

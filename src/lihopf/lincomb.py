@@ -17,7 +17,10 @@ them.
 A subclass declares:
 
 * ``_shape``: the names of the fields two operands must share (a sort,
-  a degree, a truncation); results copy them from the left operand;
+  a degree, a truncation);
+* ``_new(terms)``: a result of self's class with the given terms and
+  self's shape fields, so a result takes the shape of its left operand;
+  terms hold no zero and need no coercion;
 * ``_mul_key(k1, k2)``: the key of a product of two keys, or None when
   the product vanishes (it is dropped);
 * ``_scalars``: the combination types ``*`` treats as scalars rather
@@ -106,15 +109,6 @@ class LinComb:
                     self.terms[k] = c
 
     _coerce = staticmethod(as_fraction)
-
-    def _new(self, terms):
-        """A result shaped like self; terms must hold no zero and need no
-        coercion."""
-        out = object.__new__(self.__class__)
-        for name in self._shape:
-            setattr(out, name, getattr(self, name))
-        out.terms = terms
-        return out
 
     def _lift(self, c):
         return None

@@ -16,7 +16,6 @@ from lihopf.algebra import (
     Generator,
     apply_contraction,
     compose,
-    contract,
     expand_log,
     gen_elem,
     generator_to_vector,
@@ -133,8 +132,13 @@ def test_element_sort_rules():
     x = gen_elem(log(1), H)
     with pytest.raises(ValueError):
         x + gen_elem(log(1), HBAR)
-    # constants are sort-agnostic
-    assert (x + Element.constant(2, HBAR)).sort == H
+    # a constant has a sort like any other element; a rational is lifted
+    # to the other operand's sort
+    with pytest.raises(ValueError):
+        x + Element.constant(2, HBAR)
+    with pytest.raises(ValueError):
+        Element.one(HBAR) * x
+    assert (x + 2).sort == H and (2 * x).sort == H
     inv = li((1, 2), (2,), inverted=True)
     with pytest.raises(ValueError):
         gen_elem(inv, H)  # inverted letters only live in the big algebra
@@ -299,12 +303,17 @@ def test_precede_zero_first():
 # ---------------------------------------------------------------- contractions
 
 def test_contract_windows():
-    assert contract((1, 3, 4), 3) == ((1, 3), (3, 4))
-    assert contract((2, 5), 5) == ((2, 5),)
+    g = gen_elem(li((1, 2, 3), (2, 1)))
     with pytest.raises(ValueError):
-        contract((1, 5), 3)      # out of range for target depth
+        compose((3, 1), (1, 2))                 # not increasing
     with pytest.raises(ValueError):
-        contract((3, 1), 5)      # not increasing
+        compose((1, 3, 4), (2, 1))
+    with pytest.raises(ValueError):
+        apply_contraction((3, 1), g)
+    with pytest.raises(ValueError):
+        compose((1, 3), (1, 3))                 # inner exceeds outer length
+    with pytest.raises(ValueError):
+        apply_contraction((1, 5), g)            # g is outside its range
 
 
 def test_compose_example():

@@ -8,6 +8,7 @@ from pathlib import Path
 
 import pytest
 from click.testing import CliRunner
+from hypothesis import given, settings, strategies as st
 
 import jsonschema
 
@@ -75,6 +76,51 @@ def test_parse_render_round_trip_200():
     for k in range(100):
         e = random_element(rng, HBAR)
         assert parse(str(e), HBAR) == e, k
+
+
+def _generators(sort):
+    """Logs and brackets of depth 1-3 over indices 1-6; inverted brackets
+    in Hbar only."""
+    def bracket(d):
+        return st.builds(
+            li, st.sets(st.integers(1, 6), min_size=d + 1,
+                        max_size=d + 1).map(sorted),
+            st.lists(st.integers(1, 3), min_size=d, max_size=d),
+            st.booleans() if sort == HBAR else st.just(False))
+    return st.builds(log, st.integers(1, 6)) | st.integers(1, 3).flatmap(
+        bracket)
+
+
+def _elements(sort):
+    """Sums of products of 0-3 generators with rational coefficients."""
+    term = st.builds(lambda c, mon: Element.from_monomial(mon, sort, c),
+                     st.fractions(-9, 9, max_denominator=9),
+                     st.lists(_generators(sort), max_size=3))
+    return st.lists(term, max_size=4).map(Element.zero(sort).sum)
+
+
+@settings(max_examples=200, deadline=None)
+@given(st.sampled_from([H, HBAR]).flatmap(_elements))
+def test_text_parses_back_to_the_element(e):
+    assert parse(str(e), e.sort) == e
+
+
+# the grammar's alphabet as tokens.  A number is one token of at most two
+# digits, spaced so that two never merge; with at most ten tokens no
+# string nests more than two powers, so no input is large
+_TOKENS = st.sampled_from(["Li", "ILi", "log", "[", "]", "(", ")", ",", "+",
+                           "-", "*", "^", "/", " "]) | st.integers(0, 99).map(
+                               " {} ".format)
+
+
+@settings(max_examples=500, deadline=None)
+@given(st.lists(_TOKENS, max_size=10).map("".join),
+       st.sampled_from([H, HBAR]))
+def test_parse_fails_only_with_expr_error(text, sort):
+    try:
+        parse(text, sort)
+    except ExprError:
+        pass
 
 
 def test_parse_literals():

@@ -12,8 +12,7 @@ from lihopf.algebra import (H, HBAR, Element, apply_contraction, gen_elem, li,
                             log)
 from lihopf.forms import (Form, Poly, element_to_poly, eta_tensor,
                           point_residual, poly_to_element, pullback_form,
-                          pullback_poly, sample_point, tangent_basis,
-                          w_element, w_tensor)
+                          sample_point, tangent_basis, w_element, w_tensor)
 from lihopf.tensor import WordSum, project_pi, symbol, u_, v_
 
 u1, u2, u3 = u_(1), u_(2), u_(3)
@@ -212,6 +211,11 @@ def test_w_vanishes_on_empty_word():
 
 
 # ------------------------------------------------------------ pullbacks
+
+def pullback_poly(c, p):
+    """The pullback of a Poly, through the pullback of the 0-form p."""
+    return pullback_form(c, Form(0, {(): p})).terms.get((), Poly.zero())
+
 
 def test_pullback_poly_letters():
     c = (1, 3)

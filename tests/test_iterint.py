@@ -1,6 +1,8 @@
 """Iterated-integral symbols: coproduct, variation, splitting, evaluation."""
 
+import hashlib
 import itertools
+import json
 import math
 from fractions import Fraction as F
 from functools import partial
@@ -9,7 +11,7 @@ import pytest
 
 from lihopf.algebra import HBAR, ITER, Element, expand_log, gen_elem, li, log
 from lihopf.coproduct import coproduct, coproduct_bar
-from lihopf.expr import render
+from lihopf.expr import element_document, render
 from lihopf.iterint import (
     IGenerator,
     InvProduct,
@@ -365,11 +367,11 @@ def test_phi_multiplicative_on_monomials():
 # ---------------------------------------------------------------------------
 # the coproduct morphism
 
-def _sweep(max_index, max_weight, max_depth):
+def _sweep(max_index, max_weight, max_depth, min_weight=1):
     points = [ZERO, ONE] + [InvProduct(i, j)
                             for i in range(1, max_index + 1)
                             for j in range(i, max_index + 1)]
-    for wlen in range(1, max_weight + 1):
+    for wlen in range(min_weight, max_weight + 1):
         for word in itertools.product(points, repeat=wlen):
             if sum(1 for p in word if p != ZERO) > max_depth:
                 continue
@@ -387,6 +389,24 @@ def test_phi_is_a_coproduct_morphism_small():
         assert phi_morphism_ok(g), g
         count += 1
     assert count == 269
+
+
+# sha256 of the canonical JSON of [repr(g), element_document(phi(g))] over
+# the sweep below, in sweep order
+PHI_SWEEP_SHA256 = (
+    "733a18be417d4a7a3c497d51cb8e92de03ede96abc092828f9b6d5a59171517b")
+
+
+def test_phi_is_pinned_over_a_sweep():
+    # every polylogarithmic symbol with endpoints and letters among 0, 1
+    # and 1/(x_i..x_j), j <= 3, and a word of at most three letters, two of
+    # them nonzero; 201 of the 831 run between two nonzero points
+    syms = list(_sweep(max_index=3, max_weight=3, max_depth=2, min_weight=0))
+    assert len(syms) == 831
+    assert sum(g.start != ZERO and g.end != ZERO for g in syms) == 201
+    text = json.dumps([[repr(g), element_document(phi(g))] for g in syms],
+                      sort_keys=True, separators=(",", ":"))
+    assert hashlib.sha256(text.encode()).hexdigest() == PHI_SWEEP_SHA256
 
 
 def test_phi_morphism_hand_cases():

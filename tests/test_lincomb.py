@@ -147,13 +147,15 @@ def test_equality_depends_on_shape():
     with pytest.raises(ValueError):
         f + Form(2, f.terms)
 
-    # constants are sort-agnostic, nothing else is
-    assert Element.constant(3, H) == Element.constant(3, HBAR)
-    assert Element.zero(H) == Element.zero(HBAR)
+    # constants included: elements of two sorts are unequal
+    assert Element.constant(3, H) != Element.constant(3, HBAR)
+    assert Element.zero(H) != Element.zero(HBAR)
     assert e != e.as_sort(HBAR)
-    assert (Element.constant(2, HBAR) * e).sort == H
+    assert Element.constant(3, H) == 3 == Element.constant(3, HBAR)
     with pytest.raises(ValueError):
         e + e.as_sort(HBAR)
+    with pytest.raises(ValueError):
+        Element.constant(2, HBAR) * e
 
 
 def test_series_sum_keeps_the_left_truncation():
@@ -279,9 +281,11 @@ def test_sum_is_the_chained_plus_and_of_no_parts_an_equal_copy(name):
 
 def test_sum_conforms_like_plus_and_refuses_other_kinds():
     e = gen_elem(log(1), H)
-    assert Element.zero(H).sum([e, Element.constant(2, HBAR)]) == e + 2
+    assert Element.zero(H).sum([e, Element.constant(2, H)]) == e + 2
     with pytest.raises(ValueError):
         Element.zero(H).sum([e.as_sort(HBAR)])
+    with pytest.raises(ValueError):
+        Element.zero(H).sum([e, Element.constant(2, HBAR)])
     with pytest.raises(ValueError):
         Form(1).sum([Form(2)])
     with pytest.raises(TypeError):
