@@ -38,7 +38,6 @@ from .iterint import (
     ONE,
     ZERO,
     canonical_symbol,
-    gamma,
     i_coproduct,
     integral,
     is_polylogarithmic,
@@ -79,7 +78,6 @@ __all__ = [
     "coproduct_h",
     "derive",
     "expand_log",
-    "gamma",
     "gen_elem",
     "generator_to_vector",
     "i_coproduct",

@@ -37,7 +37,7 @@ integral Fraction produced by arithmetic equals and hashes like the int.
 
 from typing import NamedTuple
 
-from .lincomb import LinComb, extend
+from .lincomb import LinComb, extend, memo
 
 H = "H"
 HBAR = "Hbar"
@@ -99,9 +99,7 @@ class Generator(_Bracket):
     def depth(self):
         return 0 if self.kind == LOG else len(self.weights)
 
-    def __repr__(self):
-        return str(self)
-
+    @memo
     def __str__(self):
         if self.kind == LOG:
             return "log(%d)" % self.indices
@@ -112,6 +110,8 @@ class Generator(_Bracket):
             return "ILi[%s](%s)" % (ns, args)
         ns = ",".join(str(n) for n in self.weights)
         return "Li[%s](%s)" % (ns, args)
+
+    __repr__ = __str__
 
 
 def log(i):

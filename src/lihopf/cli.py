@@ -8,6 +8,7 @@ standard error.  Exit status: 0 on success or an all-pass report, 1
 when a verification suite fails, 2 on usage errors.
 """
 
+import json
 import sys
 
 import click
@@ -19,9 +20,8 @@ from .coproduct import inv_element
 from .expr import (
     ExprError,
     blocks_document,
-    json_text,
     latex_matrix,
-    matrix_document,
+    matrix_json,
     parse,
     render,
     report_document,
@@ -56,17 +56,6 @@ def _echo(text):
     click.echo(text, file=sys.stdout)
 
 
-def _emit_json(doc):
-    _echo(json_text(doc))
-
-
-def _emit(x, fmt):
-    if fmt == "json":
-        _emit_json(render(x, fmt))
-    else:
-        _echo(render(x, fmt))
-
-
 @click.group()
 def main():
     """Exact calculus for symbolic multiple polylogarithms.
@@ -88,7 +77,7 @@ def main():
 def coproduct_cmd(expr, sort_name, fmt):
     """Coproduct of EXPR, as a two-slot tensor."""
     e = _parse_expr(expr, SORTS[sort_name])
-    _emit(coproduct_map(e), fmt)
+    _echo(render(coproduct_map(e), fmt))
 
 
 @main.command("inv")
@@ -97,7 +86,7 @@ def coproduct_cmd(expr, sort_name, fmt):
 def inv_cmd(expr, fmt):
     """Rewrite EXPR (extended sort) without inverted generators."""
     e = _parse_expr(expr, HBAR)
-    _emit(inv_element(e), fmt)
+    _echo(render(inv_element(e), fmt))
 
 
 @main.command("symbol")
@@ -107,7 +96,7 @@ def symbol_cmd(expr, fmt):
     """Symbol of EXPR: its maximal iterated coproduct, as words in the
     weight-one letters u_i and v_{i,j}."""
     e = _parse_expr(expr, H)
-    _emit(symbol_map(e), fmt)
+    _echo(render(symbol_map(e), fmt))
 
 
 @main.command("form")
@@ -116,7 +105,7 @@ def symbol_cmd(expr, fmt):
 def form_cmd(expr, fmt):
     """Holomorphic one-form attached to the symbol of EXPR."""
     e = _parse_expr(expr, H)
-    _emit(w_element(e), fmt)
+    _echo(render(w_element(e), fmt))
 
 
 def _weights_tuple(text):
@@ -154,7 +143,7 @@ def varmatrix_cmd(weights, what, sort_name, fmt):
     if what == "blocks":
         doc = blocks_document(nvec, V.block_boundaries())
         if fmt == "json":
-            _emit_json(doc)
+            _echo(json.dumps(doc, indent=2, sort_keys=True))
         else:
             _echo(" | ".join(str(b) for b in doc["boundaries"]))
         return
@@ -174,7 +163,7 @@ def varmatrix_cmd(weights, what, sort_name, fmt):
 
     cells = [[render(x, fmt) for x in row] for row in rows]
     if fmt == "json":
-        _emit_json(matrix_document(what, nvec, sort_name, V.keys, cells))
+        _echo(matrix_json(what, nvec, sort_name, V.keys, cells))
     elif fmt == "latex":
         _echo(latex_matrix(cells))
     else:
@@ -217,7 +206,8 @@ def verify_cmd(suite_name, max_weight, max_depth, seed, fmt):
         click.echo(rep.summary(), file=sys.stderr)
         reports.append(rep)
     if fmt == "json":
-        _emit_json(report_document(reports))
+        _echo(json.dumps(report_document(reports), indent=2,
+                         sort_keys=True))
     else:
         for rep in reports:
             _echo(rep.summary())

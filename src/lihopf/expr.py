@@ -10,22 +10,24 @@ The text grammar round-trips with ``str(element)``:
                   or '*'; powers by '^' with a nonnegative integer
 
 ``render(x, fmt)`` writes an Element, Tensor, WordSum, Poly or Form as
-a JSON document (``json``) or a string (``latex``, ``text``).  JSON
-documents follow the shipped schema (document.schema.json); LaTeX
-output mirrors the bracket notation used throughout the package.  In
-every format a constant term prints as its bare rational.  ``json_text``
-writes a JSON document as ``json.dumps(doc, indent=2, sort_keys=True)``
-would.
+the text of a JSON document (``json``), LaTeX (``latex``) or plain text
+(``text``).  The ``*_document`` builders give each JSON document as a
+dict, following the shipped schema (document.schema.json); the JSON
+writers (``element_json`` ...) return ``json.dumps(doc, indent=2,
+sort_keys=True)`` of it, written from memoized texts of each generator
+and letter.  LaTeX output mirrors the bracket notation used throughout
+the package.  In every format a constant term prints as its bare
+rational.
 """
 
 import json
 import re
 from fractions import Fraction
-from json.encoder import encode_basestring_ascii as _json_str
 
 from .algebra import (H, ITER, LOG, Element, gen_elem, li, log, monomial_str,
                       monomial_weight, text_sum)
 from .forms import Form, Poly
+from .lincomb import memo
 from .tensor import Tensor, WordSum
 
 
@@ -193,12 +195,12 @@ def parse(text, sort=H):
 
 _KINDS = {Element: "element", Tensor: "tensor", WordSum: "words",
           Poly: "poly", Form: "form"}
-_RENDERER = {"json": "%s_document", "latex": "latex_%s", "text": "text_%s"}
+_RENDERER = {"json": "%s_json", "latex": "latex_%s", "text": "text_%s"}
 
 
 def render(x, fmt):
-    """x in format fmt (json, latex or text) by the renderer for its
-    class, looked up in the module globals at call time so that a
+    """The text of x in format fmt (json, latex or text), by the writer
+    for its class, looked up in the module globals at call time so that a
     rebound renderer is the one called.  A value of any other class
     (a scalar in a failure diff) renders as str(x).  Iterated-integral
     symbols (sort I) render as text only."""
@@ -290,6 +292,7 @@ def _latex_window(i, j, inverted):
     return body
 
 
+@memo
 def latex_generator(g):
     if g.kind == LOG:
         return "[x_{%d}]_{0}" % g.indices
@@ -457,33 +460,97 @@ def report_document(reports):
             "passed": all(r.passed for r in reports)}
 
 
-def json_text(doc, pad="\n"):
-    """``json.dumps(doc, indent=2, sort_keys=True)``, byte for byte (so
-    ASCII-only), for a document whose dict keys are strings.  ``json``
-    indents with its pure-Python encoder; this writes each container
-    bottom-up as its bracket, its children joined by a comma and a new
-    line, and its closing bracket on ``pad``, the new line and indent of
-    the line the container starts on.  A leaf other than a str, int or
-    bool (None, the float seconds of a report) is written by
-    ``json.dumps``."""
-    cls = doc.__class__
-    if cls is str:
-        return _json_str(doc)
-    if cls is int:
-        return int.__repr__(doc)
-    if isinstance(doc, dict):
-        if not doc:
-            return "{}"
-        inner = pad + "  "
-        return "{" + inner + ("," + inner).join([
-            _json_str(k) + ": " + json_text(doc[k], inner)
-            for k in sorted(doc)]) + pad + "}"
-    if isinstance(doc, (list, tuple)):
-        if not doc:
-            return "[]"
-        inner = pad + "  "
-        return "[" + inner + ("," + inner).join([
-            json_text(x, inner) for x in doc]) + pad + "]"
-    if cls is bool:
-        return "true" if doc else "false"
-    return json.dumps(doc)
+# ---------------------------------------------------------------------------
+# JSON text: each writer returns json.dumps(<kind>_document(x), indent=2,
+# sort_keys=True), joined from the memoized texts of its generators and
+# letters.  _P[k] is a new line indented k levels; a container starting
+# on _P[k] puts its items on _P[k + 1] and its closing bracket on _P[k].
+
+_P = tuple("\n" + "  " * k for k in range(6))
+
+
+def _json_list(items, pad):
+    if not items:
+        return "[]"
+    inner = pad + "  "
+    return "[" + inner + ("," + inner).join(items) + pad + "]"
+
+
+@memo
+def _json_at(doc_of, key, pad):
+    """doc_of(key) (a generator's or letter's) as JSON text at pad."""
+    return json.dumps(doc_of(key), indent=2, sort_keys=True).replace(
+        "\n", pad)
+
+
+def _factors_json(mon, k):
+    return _json_list([_json_at(factor_doc, g, _P[k + 1]) for g in mon],
+                      _P[k])
+
+
+def _letters_json(letters):
+    return _json_list([_json_at(letter_doc, s, _P[4]) for s in letters],
+                      _P[3])
+
+
+# a term of a document's "terms" list, after its opening brace and any
+# field sorting before "coeff"
+_TERM = ('\n      "coeff": {\n        "den": %d,\n        "num": %d\n      },'
+         '\n      "%s": %s\n    }')
+
+
+def _terms_json(items, field, body_of, head="{"):
+    return [head + _TERM % (c.denominator, c.numerator, field, body_of(key))
+            for key, c in items]
+
+
+def _document_json(kind, terms, head=""):
+    """head: the fields sorting before "terms", each with its comma."""
+    return '{\n  %s"terms": %s,\n  "type": "%s"\n}' % (
+        head, _json_list(terms, _P[1]), kind)
+
+
+def element_json(e):
+    return _document_json("element", _terms_json(
+        _by_weight(e), "factors", lambda mon: _factors_json(mon, 3)),
+        '"sort": "%s",\n  ' % e.sort)
+
+
+def tensor_json(t):
+    sorts = _json_list(['"%s"' % s for s in t.sorts], _P[1])
+    return _document_json("tensor", _terms_json(
+        _by_str(t), "slots", lambda mons: _json_list(
+            [_factors_json(m, 4) for m in mons], _P[3])),
+        '"sorts": %s,\n  ' % sorts)
+
+
+def words_json(ws):
+    return _document_json("words", _terms_json(_by_str(ws), "word",
+                                               _letters_json))
+
+
+def poly_json(p):
+    return _document_json("poly", _terms_json(_by_degree(p), "letters",
+                                              _letters_json))
+
+
+def form_json(f):
+    terms = []
+    for basis in sorted(f.terms):
+        terms += _terms_json(_by_degree(f.terms[basis]), "letters",
+                             _letters_json,
+                             '{\n      "basis": %s,' % _letters_json(basis))
+    return _document_json("form", terms, '"degree": %d,\n  ' % f.degree)
+
+
+def matrix_json(what, weights, sort, keys, cells):
+    """The text of matrix_document(what, weights, sort, keys, entries),
+    given the entries' JSON texts cells.  "entries" is its first key;
+    an entry is re-indented at its new lines, as a JSON text holds no
+    raw new line inside a string."""
+    rows = [_json_list([c.replace("\n", _P[3]) for c in row], _P[2])
+            for row in cells]
+    frame = json.dumps(matrix_document(what, weights, sort, keys, None),
+                       indent=2, sort_keys=True)
+    return '{\n  "entries": %s%s' % (_json_list(rows, _P[1]),
+                                     frame[len('{\n  "entries": null'):])

@@ -183,10 +183,6 @@ def gamma_gen(g: IGenerator) -> Element:
         if not ((g.start == ZERO and q) or (g.end == ZERO and q < g.weight)))
 
 
-def gamma(e: Element) -> Element:
-    return extend(e, gamma_gen, Element.one(ITER))
-
-
 # ---------------------------------------------------------------------------
 # polylogarithmic symbols and their evaluation
 

@@ -1,6 +1,7 @@
-"""The one memo behind every structure-map cache: ``clear_caches`` empties
-all of them, recomputed values equal the cached ones, errors are never
-cached, and no module keeps a hand-rolled cache dict beside it."""
+"""The one memo behind every structure-map and output-text cache:
+``clear_caches`` empties all of them, recomputed values equal the cached
+ones, errors are never cached, and no module keeps a hand-rolled cache
+dict beside it."""
 
 import ast
 import itertools
@@ -13,7 +14,8 @@ import lihopf
 from lihopf import clear_caches
 from lihopf.algebra import H, gen_elem, li
 from lihopf.coproduct import (_coproduct_bar_generators, _inv_generators,
-                              inv_generator)
+                              coproduct, inv_generator)
+from lihopf.expr import render
 from lihopf.forms import w_element
 from lihopf.iterint import (ONE, ZERO, IGenerator, InvProduct,
                             canonical_symbol, phi)
@@ -27,7 +29,11 @@ def _warm():
             build_V((2, 1), H).rows,
             symbol(gen_elem(li((1, 2, 3), (2, 1)), H)),
             w_element(gen_elem(li((1, 2, 3), (1, 1)), H)),
-            phi(canonical_symbol((1, 2, 3), (1, 1))))
+            phi(canonical_symbol((1, 2, 3), (1, 1))),
+            [render(x, fmt) for x in (
+                coproduct(gen_elem(li((1, 2, 3), (2, 1)), H)),
+                symbol(gen_elem(li((1, 2, 3), (1, 1)), H)))
+             for fmt in ("json", "latex", "text")])
 
 
 def test_clear_caches_empties_every_memo():
@@ -35,10 +41,12 @@ def test_clear_caches_empties_every_memo():
     assert {"_coproduct_bar_generators", "_coproduct_h_generators",
             "_inv_series_on", "_inv_generators", "_antipode_generator",
             "shuffle_words", "_pi_word", "_symbol_monomial", "_w_monomial",
-            "_build_V", "phi"} <= set(memos)
+            "_build_V", "phi", "Generator.__str__", "latex_generator",
+            "_json_at"} <= set(memos)
     warm = _warm()
     for name in ("_inv_generators", "_build_V", "_symbol_monomial",
-                 "_w_monomial", "phi"):
+                 "_w_monomial", "phi", "Generator.__str__",
+                 "latex_generator", "_json_at"):
         assert memos[name].cache_info().currsize, name
     clear_caches()
     assert [m.cache_info().currsize for m in MEMOS] == [0] * len(MEMOS)

@@ -3,12 +3,14 @@
 Each request of the benchmark's warm-cli catalog (perfbench/workloads.py,
 loaded by path) must reproduce the digest recorded in
 perfbench/digests.json.  Outputs the catalog does not cover are pinned
-here as sha256 values of the exact text: varmatrix latex/text for the
-gauge-lifted pair and the blocks, the structural suite's text report,
-and one verification failure line per compound operand type.  A
+here as sha256 values of the exact text: JSON of zero and constant
+values, the empty word and a depth-4 coproduct, varmatrix latex/text for
+the gauge-lifted pair and the blocks, the structural suite's text
+report, and one verification failure line per compound operand type.  A
 constant term prints as its bare rational in every format.  The digests
 hash parsed JSON, so the JSON layout (``json.dumps`` with ``indent=2``
-and ``sort_keys=True``) is checked on the raw text.
+and ``sort_keys=True``) is checked on the raw text, and each JSON writer
+is checked against its document builder on random values.
 """
 
 import contextlib
@@ -16,6 +18,7 @@ import gc
 import hashlib
 import importlib.util
 import io
+import itertools
 import json
 import os
 import re
@@ -26,11 +29,24 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from lihopf import cli
+from lihopf.algebra import HBAR, Element, li
 from lihopf.coproduct import coproduct
-from lihopf.expr import json_text, parse, render, text_form, text_poly
+from lihopf.expr import (
+    element_document,
+    form_document,
+    parse,
+    poly_document,
+    render,
+    tensor_document,
+    text_form,
+    text_poly,
+    words_document,
+)
 from lihopf.forms import Form, Poly, w_element
 from lihopf.tensor import symbol, u_, v_
 from lihopf.verify import Report
+from test_lincomb import (ELEMENTS, FORMS, GENS, LETTERS, POLYS, TENSORS,
+                          WORDS, _combos, _mons)
 
 WORKLOADS_PATH = os.path.join(os.path.dirname(os.path.dirname(
     os.path.abspath(__file__))), "perfbench", "workloads.py")
@@ -79,20 +95,60 @@ def test_json_outputs_have_the_json_dumps_layout():
     assert bad == []
 
 
-_CHARS = st.one_of(st.sampled_from('"\\/\b\f\n\r\t\x00\x1f\x7f'),
-                   st.characters())
-_JSON = st.recursive(
-    st.none() | st.booleans() | st.integers() | st.text(_CHARS)
-    | st.floats(allow_nan=False, allow_infinity=False),
-    lambda children: st.lists(children, max_size=4)
-    | st.dictionaries(st.text(_CHARS, max_size=4), children, max_size=4),
-    max_leaves=24)
+# outputs the catalog does not reach: zero and constant values, the empty
+# word, a depth-4 coproduct, and the Hbar and blocks varmatrix documents
+PINNED_JSON = {
+    ("coproduct", "0"):
+        "80a9decb87172f96a3cfcb96d1da0137750b03328133ef156ed452978612f12f",
+    ("coproduct", "1/2"):
+        "9c5bbe45b03b3fba456609f47ddaabd459c39f0c3185ad5e00c98bc5599f1b73",
+    ("inv", "0"):
+        "b714cb9ae146aae438b3c19de69c514a96cb5ffc3ab736607d3ca88b7950d782",
+    ("symbol", "3"):
+        "7f000d293cc5dd1d8e9a87a6ecec58f8da43f51782413b52f9d7e642f5dc6be1",
+    ("form", "0"):
+        "fb85a627b9e47d68df5b1fa66a977464073e94655b28bf65a852538b32a166df",
+    ("symbol", "Li[1,2](1,2,3) - 1/3 Li[1](1,2)^2 + 5"):
+        "2e9aeb487b31781235a32c96df5aaadf29ae362dbd0cba3ede56f36024c069d5",
+    ("varmatrix", "--weights", "2,1", "--sort", "Hbar"):
+        "82d059b51d7d01c26af2168b03e0a378ec34f470efdd43380e0417331d3a7704",
+    ("varmatrix", "--weights", "2,1", "--what", "blocks"):
+        "ae3b8d9b3bcae0c1671ea8b4e0eb05f6c88439dfc3b7a20bb4f3d42e0ddbc13d",
+    ("coproduct", "Li[2,2,2,2](1,2,3,4,5)"):
+        "b52ca2adc780eb7535b1570c1beeccaa640d5271b1e7f8136916bbe1352ab0fb",
+}
 
 
-@settings(max_examples=300, deadline=None)
-@given(_JSON)
-def test_json_text_is_json_dumps_indented_and_sorted(doc):
-    assert json_text(doc) == json.dumps(doc, indent=2, sort_keys=True)
+@pytest.mark.parametrize("args", sorted(PINNED_JSON))
+def test_json_outputs_pinned(args):
+    assert sha(run_cli(list(args))) == PINNED_JSON[args]
+
+
+HBAR_ELEMENTS = _combos(_mons(GENS + [li((1, 2), (2,), inverted=True),
+                                      li((1, 2, 3), (2, 1), inverted=True)]),
+                        lambda t: Element(HBAR, t))
+FORMS_2 = st.dictionaries(
+    st.sampled_from(list(itertools.combinations(LETTERS, 2))), POLYS,
+    max_size=3).map(lambda t: Form(2, t))
+DOCUMENTS = {
+    "element": (ELEMENTS, element_document),
+    "hbar-element": (HBAR_ELEMENTS, element_document),
+    "tensor": (TENSORS, tensor_document),
+    "words": (WORDS, words_document),
+    "poly": (POLYS, poly_document),
+    "form": (FORMS, form_document),
+    "2-form": (FORMS_2, form_document),
+}
+
+
+@pytest.mark.parametrize("kind", sorted(DOCUMENTS))
+@settings(max_examples=100, deadline=None)
+@given(data=st.data())
+def test_json_writer_is_its_document_dumped(kind, data):
+    values, document = DOCUMENTS[kind]
+    x = data.draw(values)
+    assert render(x, "json") == json.dumps(document(x), indent=2,
+                                           sort_keys=True)
 
 
 @pytest.mark.parametrize("args", [
@@ -200,6 +256,6 @@ def test_render_picks_the_renderer_by_class():
     p = Poly.constant(Fraction(3, 2)) - Poly.variable(v_(1, 2))
     assert render(p, "text") == "3/2 - v1,2"
     assert render(p, "latex") == r"\tfrac{3}{2} - v_{1,2}"
-    assert render(p, "json")["type"] == "poly"
+    assert json.loads(render(p, "json"))["type"] == "poly"
     assert render(parse("2 log(1)"), "text") == "2 log(1)"
     assert render(Fraction(1, 3), "text") == "1/3"
