@@ -37,7 +37,7 @@ integral Fraction produced by arithmetic equals and hashes like the int.
 
 from typing import NamedTuple
 
-from .lincomb import LinComb, extend, memo
+from .lincomb import MEMOS, LinComb, _CacheInfo, extend, memo
 
 H = "H"
 HBAR = "Hbar"
@@ -127,6 +127,61 @@ def li(indices, weights, inverted=False):
 
 def mul_monomials(a, b):
     return tuple(sorted(a + b))
+
+
+ID_BITS = 32
+
+
+class MonomialTable(dict):
+    """Monomials interned as int ids below 2**ID_BITS (``()`` is 0) and
+    the memo of their products, id1 << ID_BITS | id2 -> id.  A clear
+    forgets every monomial but never reissues an id, so ``monomial`` of
+    an id from before it raises ValueError.  ``cache_info()`` counts the
+    products computed as misses; hits are not counted."""
+
+    def __init__(self):
+        self.__wrapped__, self.base, self.monomials = mul_monomials, 1, []
+        self.cache_clear()
+
+    def id(self, mon):
+        if not mon:
+            return 0
+        new = self.base + len(self.monomials)
+        i = self.ids.setdefault(mon, new)
+        if i == new:
+            if i >> ID_BITS:
+                del self.ids[mon]
+                raise ValueError("monomial ids exhausted")
+            self.monomials.append(mon)
+        return i
+
+    def monomial(self, i):
+        if 0 <= i - self.base < len(self.monomials):
+            return self.monomials[i - self.base]
+        if i:
+            raise ValueError("monomial id %d predates clear_caches()" % i)
+        return ()
+
+    def __missing__(self, pair):
+        a, b = divmod(pair, 1 << ID_BITS)
+        mons, a, b = self.monomials, a - self.base, b - self.base
+        if a < 0 or b < 0:
+            raise ValueError("monomial id predates clear_caches()")
+        self.misses += 1
+        self[pair] = i = self.id(mul_monomials(mons[a], mons[b]))
+        return i
+
+    def cache_info(self):
+        return _CacheInfo(None, self.misses, None, len(self) + len(self.ids))
+
+    def cache_clear(self):
+        self.clear()
+        self.base += len(self.monomials)
+        self.ids, self.monomials, self.misses = {}, [], 0
+
+
+MONOMIALS = MonomialTable()
+MEMOS.append(MONOMIALS)
 
 
 def monomial_weight(mon):

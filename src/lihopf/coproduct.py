@@ -125,9 +125,8 @@ def _bracket_series(shape, indices, targs, inverted):
 
     def fill(u, weights, acc):
         if u == len(targs):
-            mon = (li(indices, weights, inverted),)
-            for (e, _), c in acc.terms.items():
-                terms[(e, mon)] = c
+            tag = shape._monomial_key((li(indices, weights, inverted),))
+            terms.update((k | tag, c) for k, c in acc.terms.items())
             return
         m = 1
         while acc.terms:
@@ -366,9 +365,9 @@ def _inv_generators(gens):
         p = group[0].indices
         targets = [tuple(w - 1 for w in g.weights) for g in group]
         shape = TruncatedSeries(H, *_join(targets))
-        series = _inv_series(p, list(range(len(p) - 1)), shape)
+        read = _inv_series(p, list(range(len(p) - 1)), shape).coefficients()
         for g, target in zip(group, targets):
-            val = series.coefficient(target)
+            val = read.get(target) or Element.zero(H)
             if sum(target) % 2:
                 # the stored-form extraction pairs each t with a minus sign
                 val = -val

@@ -11,15 +11,23 @@ explicit division by a variable is only performed after checking that
 the dividend vanishes identically on the divisor's zero locus (every
 kept term has a positive exponent there).
 
-A series is one flat combination ``terms / den``, the layout of FLINT's
-``fmpq_mpoly``: its keys are pairs ``(e, mon)`` of an exponent tuple and
-a sorted monomial of the series' sort (``()`` for a scalar), and its
-values are int numerators over one positive integer denominator.  The
-coefficient of t^e is the Element  sum over mon of
-terms[(e, mon)] / den * mon;  ``coefficient`` and ``coefficients`` build
-it, dividing once per read into canonical rationals.  No coefficient is
-itself a combination, so a product of two terms is one int product, and
-a linear form or a constant is a series whose monomials are all ``()``.
+A series is one flat combination ``terms / den`` (FLINT's ``fmpq_mpoly``
+layout): int numerators over one positive integer denominator, each
+keyed by one int.  A key packs t^e as Monagan and Pearce do ("Sparse
+polynomial division using a heap", J. Symb. Comput. 2011): e_v in the
+byte field v, |e| in field n after the last variable, and above them the
+id of a sorted monomial of the series' sort in ``algebra.MONOMIALS`` (0
+for ``()``).  A field's top bit is its guard, clear in a stored key, so
+no field exceeds LIMIT = 127 (a larger total raises ValueError) and the
+fields of two keys of one shape add without a carry.  A product of
+exponents is then one int addition; adding the shape's bias (LIMIT - cap,
+LIMIT - total in field n) sets a guard bit exactly where a cap or the
+total is passed, so truncation is one mask test; division by t_v takes
+one unit from field v and from field n; and a product of monomials is
+one lookup in the id table.  ``substitute`` reads exponent fields; only
+``coefficients`` (behind ``coefficient`` and ``__repr__``) reads whole
+keys.  ``clear_caches`` empties the id table and never reissues an id,
+so a series kept across a clear raises ValueError when read after it.
 
 The denominator is a value, not part of the shape.  A product multiplies
 the denominators, scaling by a rational or an Element folds the
@@ -31,10 +39,13 @@ denominators, and equality compares values across denominators.
 
 from fractions import Fraction
 from math import factorial, lcm
-from operator import add, le
+from operator import le
 
-from .algebra import Element, mul_monomials
+from .algebra import ID_BITS, MONOMIALS, Element
 from .lincomb import LinComb, as_fraction, collect
+
+WIDTH = 8  # one byte per field: keys pack through int.from_bytes
+LIMIT = (1 << WIDTH - 1) - 1
 
 
 def _divide(v, den):
@@ -44,20 +55,22 @@ def _divide(v, den):
     return as_fraction(Fraction(v, den))
 
 
-def _by_exponent(terms):
-    """The (monomial, numerator) pairs of terms, grouped by exponent."""
+def _by_exponent(terms, shift):
+    """terms' (monomial id, numerator) pairs, grouped by exponent fields."""
+    low = (1 << shift) - 1
     out = {}
-    for (e, mon), c in terms.items():
+    for k, c in terms.items():
+        e = k & low
         block = out.get(e)
         if block is None:
-            out[e] = [(mon, c)]
+            out[e] = [(k >> shift, c)]
         else:
-            block.append((mon, c))
+            block.append((k >> shift, c))
     return out
 
 
 class TruncatedSeries(LinComb):
-    __slots__ = ("caps", "total", "sort", "den")
+    __slots__ = ("caps", "total", "sort", "den", "_layout")
 
     _shape = ("caps", "total", "sort")
     _scalars = (Element,)
@@ -67,26 +80,31 @@ class TruncatedSeries(LinComb):
         exponent), truncated to (caps, total)."""
         full = sum(caps)
         total = full if total is None else min(total, full)
-        self.caps = tuple(min(c, total) for c in caps)
-        self.total = total
+        if total > LIMIT:
+            raise ValueError("series total %d exceeds %d" % (total, LIMIT))
+        self.caps, self.total = tuple(min(c, total) for c in caps), total
         self.sort = sort
+        # (bias, guard bits, bit offset of the monomial id)
+        bias = bytes(LIMIT - c for c in self.caps + (total,))
+        self._layout = (int.from_bytes(bias, "little"), int.from_bytes(
+            b"\x80" * len(bias), "little"), len(bias) * WIDTH)
         like = self._like(terms)
-        self.den = like.den
-        self.terms = like.terms
+        self.den, self.terms = like.den, like.terms
 
     def _new(self, terms, den=None):
-        """A result shaped like self, with value terms / den (by default
-        self's denominator)."""
+        """A result shaped like self: terms / den, by default self's den."""
         out = object.__new__(TruncatedSeries)
         out.caps = self.caps
         out.total = self.total
         out.sort = self.sort
+        out._layout = self._layout
         out.den = self.den if den is None else den
         out.terms = terms
         return out
 
-    def _keep(self, e):
-        return sum(e) <= self.total and all(map(le, e, self.caps))
+    def _monomial_key(self, mon):
+        """The bits of a key that name monomial mon, above the fields."""
+        return MONOMIALS.id(mon) << self._layout[2]
 
     def _conform(self, other):
         """The right operand restricted to this series' truncation."""
@@ -94,52 +112,48 @@ class TruncatedSeries(LinComb):
             return LinComb._conform(self, other)
         if other.total <= self.total and all(map(le, other.caps, self.caps)):
             return self._new(dict(other.terms), other.den)
-        keep = self._keep
+        bias, guards, _ = self._layout
         return self._new({k: c for k, c in other.terms.items()
-                          if keep(k[0])}, other.den)
+                          if not k + bias & guards}, other.den)
 
     def _like(self, terms=None, den=1):
         """sum of terms[e] t^e over den, truncated like self: terms maps
         exponents to Elements or rationals, whose denominators are folded
         into the result's."""
-        keep = self._keep
         pairs = []
-        if terms:
-            for e, c in terms.items():
-                e = tuple(e)
-                if not keep(e):
-                    continue
-                if isinstance(c, Element):
-                    pairs.extend(((e, mon), v) for mon, v in c.terms.items())
-                else:
-                    c = as_fraction(c)
-                    if c:
-                        pairs.append(((e, ()), c))
+        for e, c in (terms or {}).items():
+            e = tuple(e)
+            if len(e) != len(self.caps) or sum(e) > self.total \
+                    or not all(map(le, e, self.caps)):
+                continue
+            k = int.from_bytes(bytes(e + (sum(e),)), "little")
+            if isinstance(c, Element):
+                pairs.extend((k | self._monomial_key(mon), v)
+                             for mon, v in c.terms.items())
+            elif c:
+                pairs.append((k, as_fraction(c)))
         m = lcm(*[v.denominator for _, v in pairs])
         return self._new({k: v.numerator * (m // v.denominator)
                           for k, v in pairs}, den * m)
 
     def constant(self, value):
         """value, an Element or a rational, shaped like self."""
+        if value.__class__ is int:
+            return self._new({0: value} if value else {}, 1)
         return self._like({(0,) * len(self.caps): value})
 
     def coefficient(self, e):
         """The coefficient of t^e, its rationals in canonical form."""
-        e = tuple(e)
-        den = self.den
-        return Element.zero(self.sort)._new({
-            mon: _divide(v, den) for (f, mon), v in self.terms.items()
-            if f == e})
+        return self.coefficients().get(tuple(e)) or Element.zero(self.sort)
 
     def coefficients(self):
         """Every nonzero coefficient, as a dict exponent -> Element, its
         rationals in canonical form."""
-        den = self.den
-        grouped = {}
-        for (e, mon), v in self.terms.items():
-            grouped.setdefault(e, {})[mon] = _divide(v, den)
-        zero = Element.zero(self.sort)
-        return {e: zero._new(t) for e, t in grouped.items()}
+        den, zero, n = self.den, Element.zero(self.sort), len(self.caps) + 1
+        groups = _by_exponent(self.terms, self._layout[2])
+        return {tuple(e.to_bytes(n, "little")[:-1]): zero._new(
+            {MONOMIALS.monomial(m): _divide(v, den) for m, v in t})
+            for e, t in groups.items()}
 
     # -- arithmetic on terms / den -------------------------------------------
 
@@ -164,19 +178,28 @@ class TruncatedSeries(LinComb):
 
     def _mul(self, other):
         """The product, grouped by exponent: the truncation test runs once
-        per pair of exponents, then every pair of their monomials is
-        multiplied (the empty monomial is the unit)."""
-        caps, total = self.caps, self.total
-        right = _by_exponent(other.terms)
-        blocks = []
-        for e1, t1 in _by_exponent(self.terms).items():
-            for e2, t2 in right.items():
-                e = tuple(map(add, e1, e2))
-                if sum(e) <= total and all(map(le, e, caps)):
-                    blocks.append((e, t1, t2))
+        per pair of exponents, then every pair of their monomial ids is
+        multiplied through ``MONOMIALS`` (id 0, the unit, needs none).  By
+        a one-term factor, distinct terms go to distinct keys: no sums."""
+        bias, guards, shift = self._layout
+        if len(self.terms) == 1 or len(other.terms) == 1:
+            one, many = (self, other) if len(self.terms) == 1 \
+                else (other, self)
+            (k1, c1), = one.terms.items()
+            low, m1 = (1 << shift) - 1, (k1 >> shift) << ID_BITS
+            return self._new({
+                k1 + k2 if not (m1 and k2 > low) else (k1 + k2) & low
+                | MONOMIALS[m1 | k2 >> shift] << shift: c1 * c2
+                for k2, c2 in many.terms.items()
+                if not k1 + k2 + bias & guards}, self.den * other.den)
+        right = _by_exponent(other.terms, shift)
+        blocks = [(e1 + e2, t1, t2)
+                  for e1, t1 in _by_exponent(self.terms, shift).items()
+                  for e2, t2 in right.items() if not e1 + e2 + bias & guards]
+        product = MONOMIALS
         return self._new(collect(
-            ((e, m2 if not m1 else m1 if not m2 else mul_monomials(m1, m2)),
-             c1 * c2)
+            (e | (product[m1 << ID_BITS | m2] if m1 and m2 else m1 | m2)
+             << shift, c1 * c2)
             for e, t1, t2 in blocks for m1, c1 in t1 for m2, c2 in t2),
             self.den * other.den)
 
@@ -210,9 +233,12 @@ class TruncatedSeries(LinComb):
 
     def linear_form(self, pairs):
         """sum of c * t_v for (v, c) in pairs, as a series shaped like self."""
-        n = len(self.caps)
-        return self._like(collect(
-            ((0,) * v + (1,) + (0,) * (n - 1 - v), c) for v, c in pairs))
+        degree, caps = 1 << len(self.caps) * WIDTH, self.caps
+        terms = collect((degree | 1 << v * WIDTH, c) for v, c in pairs
+                        if caps[v])
+        m = lcm(*[c.denominator for c in terms.values()])
+        return self._new({k: c.numerator * (m // c.denominator)
+                          for k, c in terms.items()}, m)
 
     def exp_linear(self, value, pairs):
         """exp(value * linear_form(pairs)), truncated.  value is an Element.
@@ -243,9 +269,9 @@ class TruncatedSeries(LinComb):
         ``target``.  Homogeneous, hence truncation-exact.
 
         The image of each exponent present, a product of powers of the
-        linear forms, is computed once as (exponent, int) pairs over a
-        common denominator; every term then adds its numerator times those
-        ints, with no product of coefficients."""
+        linear forms, is computed once as (key, int) pairs over a common
+        denominator; every term then adds its numerator times those ints,
+        with no product of coefficients."""
         powers = {}
 
         def power(v, k):
@@ -257,40 +283,34 @@ class TruncatedSeries(LinComb):
                 pw.append(pw[-1] * pw[1])
             return pw[k]
 
-        image = {}
-        for e in {key[0] for key in self.terms}:
+        shift, n = self._layout[2], len(self.caps)
+        low, image = (1 << shift) - 1, {}
+        for f in {k & low for k in self.terms}:
             out = None
-            for v, k in enumerate(e):
+            for v, k in enumerate(f.to_bytes(n + 1, "little")[:n]):
                 if k:
                     out = power(v, k) if out is None else out * power(v, k)
-            image[e] = target.constant(1) if out is None else out
+            image[f] = target.constant(1) if out is None else out
         d = lcm(*[s.den for s in image.values()])
-        pairs = {e: [(f, n * (d // s.den)) for (f, _), n in s.terms.items()]
-                 for e, s in image.items()}
+        pairs = {f: [(g, n * (d // s.den)) for g, n in s.terms.items()]
+                 for f, s in image.items()}
         return target._new(collect(
-            ((f, mon), c * n) for (e, mon), c in self.terms.items()
-            for f, n in pairs[e]), self.den * d)
+            (g | k >> shift << target._layout[2], c * n)
+            for k, c in self.terms.items() for g, n in pairs[k & low]),
+            self.den * d)
 
     def divide_var(self, v):
         """Exact division by t_v; raises if the constant-in-t_v part is
         nonzero (the caller's cancellation failed)."""
-        terms = {}
-        for (e, mon), c in self.terms.items():
-            if e[v] == 0:
-                raise ArithmeticError(
-                    "division by t_%d leaves a pole: %r -> %s"
-                    % (v, e, self.coefficient(e)))
-            terms[(e[:v] + (e[v] - 1,) + e[v + 1:], mon)] = c
+        if any(not k >> v * WIDTH & 0xFF for k in self.terms):
+            poles = {e: c for e, c in self.coefficients().items() if not e[v]}
+            raise ArithmeticError("t_%d does not divide %s" % (v, poles))
         # lowering an exponent stays inside the truncation
-        return self._new(terms)
+        unit = 1 << v * WIDTH | 1 << len(self.caps) * WIDTH
+        return self._new({k - unit: c for k, c in self.terms.items()})
 
     def __repr__(self):
-        coefficients = self.coefficients()
-        if not coefficients:
-            return "<series 0>"
-        bits = []
-        for e in sorted(coefficients):
-            mono = " ".join("t%d^%d" % (v, k) for v, k in enumerate(e) if k)
-            bits.append("(%s)%s" % (coefficients[e],
-                                    " " + mono if mono else ""))
-        return "<series %s>" % " + ".join(bits)
+        return "<series %s>" % (" + ".join(
+            "(%s)%s" % (c, "".join(" t%d^%d" % vk for vk in enumerate(e)
+                                   if vk[1]))
+            for e, c in sorted(self.coefficients().items())) or "0")

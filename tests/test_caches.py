@@ -12,7 +12,7 @@ import pytest
 
 import lihopf
 from lihopf import clear_caches
-from lihopf.algebra import H, gen_elem, li
+from lihopf.algebra import ID_BITS, H, MonomialTable, gen_elem, li, log
 from lihopf.coproduct import (_coproduct_bar_generators, _inv_generators,
                               coproduct, inv_generator)
 from lihopf.expr import render
@@ -20,6 +20,7 @@ from lihopf.forms import w_element
 from lihopf.iterint import (ONE, ZERO, IGenerator, InvProduct,
                             canonical_symbol, phi)
 from lihopf.lincomb import MEMOS
+from lihopf.series import TruncatedSeries
 from lihopf.tensor import symbol
 from lihopf.variation import build_V
 
@@ -42,17 +43,45 @@ def test_clear_caches_empties_every_memo():
             "_inv_series_on", "_inv_generators", "_antipode_generator",
             "shuffle_words", "_pi_word", "_symbol_monomial", "_w_monomial",
             "_build_V", "phi", "Generator.__str__", "latex_generator",
-            "_json_at"} <= set(memos)
+            "_json_at", "mul_monomials"} <= set(memos)
     warm = _warm()
     for name in ("_inv_generators", "_build_V", "_symbol_monomial",
                  "_w_monomial", "phi", "Generator.__str__",
-                 "latex_generator", "_json_at"):
+                 "latex_generator", "_json_at", "mul_monomials"):
         assert memos[name].cache_info().currsize, name
     clear_caches()
     assert [m.cache_info().currsize for m in MEMOS] == [0] * len(MEMOS)
     again = _warm()
     assert all(a is not b for a, b in zip(again, warm))
     assert again == warm
+
+
+def test_a_series_from_before_a_clear_is_never_decoded_after_it():
+    # the monomial table never reissues an id: once clear_caches() has
+    # emptied it, a series that still holds an old id raises when read or
+    # multiplied, however many monomials were interned since
+    mons = [gen_elem(li((1, 2, 3), (a, b)), H) for a in (1, 2) for b in (1, 2)]
+    shape = TruncatedSeries(H, (1,))
+    old = shape.constant(mons[0]) + shape.linear_form([(0, 1)]) * mons[1]
+    assert old.coefficients() == {(0,): mons[0], (1,): mons[1]}
+    clear_caches()
+    new = shape.constant(mons[2] + mons[3] + mons[0] * mons[1])
+    assert new.coefficient((0,)) == mons[2] + mons[3] + mons[0] * mons[1]
+    for read in (old.coefficients, lambda: old.coefficient((1,)),
+                 lambda: repr(old), lambda: old * new):
+        with pytest.raises(ValueError):
+            read()
+
+
+def test_monomial_ids_stop_short_of_the_pair_width():
+    # a product is memoized under id1 << ID_BITS | id2, so an id past the
+    # width would alias another pair: the table raises instead
+    table = MonomialTable()
+    table.base = (1 << ID_BITS) - 1
+    last = table.id((log(1),))
+    assert last == (1 << ID_BITS) - 1 and table.monomial(last) == (log(1),)
+    with pytest.raises(ValueError):
+        table.id((log(2),))
 
 
 def test_errors_are_not_cached():

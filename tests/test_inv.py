@@ -146,19 +146,23 @@ def test_demand_shape_matches_looser_shape():
     # recursion asked for every exponent of total degree sum(n - 1) + 1 in
     # every variable, so no per-variable cap prunes anything it needs;
     # caches are emptied before each computation, so a reference shape
-    # never reads a series computed for another shape
+    # never reads a series computed for another shape (and the first
+    # series is read before the second clear, which retires its
+    # monomial ids)
     for p, n in _placements():
         d = len(n)
         target = tuple(w - 1 for w in n)
+        box = list(itertools.product(*(range(c + 1) for c in target)))
         clear_caches()
-        got = _inv_series(p, list(range(d)), TruncatedSeries(H, target))
+        series = _inv_series(p, list(range(d)), TruncatedSeries(H, target))
+        got = {e: series.coefficient(e) for e in box}
         clear_caches()
         T = sum(target)
         ref = _inv_series(p, list(range(d)),
                           TruncatedSeries(H, (T + 1,) * d, T + 1))
-        assert got.coefficient(target) == ref.coefficient(target), (p, n)
-        for e in itertools.product(*(range(c + 1) for c in target)):
-            assert got.coefficient(e) == ref.coefficient(e), (p, n, e)
+        assert got[target] == ref.coefficient(target), (p, n)
+        for e in box:
+            assert got[e] == ref.coefficient(e), (p, n, e)
 
 
 def _document_sha256(e):
@@ -172,10 +176,14 @@ def _document_sha256(e):
      "a66a8356f4a425b3878d691e8886232a521e36ae68b4c4f19900a5f86e24e1c1"),
     ("ILi[2,2,2,2](1,2,3,4,5)",
      "b6638f7190bd2fc33df4c80fcb85b0dd5cf483944fcd666c40693d948127639b"),
+    # 25,099 terms, recorded from the engine that keyed series terms by
+    # (exponent tuple, monomial) pairs; seven variables fill seven fields
+    ("ILi[1,1,1,1,1,1,1](1,2,3,4,5,6,7,8)",
+     "a6d8f39bf77a2c8495f5dbbd2684ec0525bd91bb41623eb694ea74a02f65e84c"),
 ])
 def test_deep_inversion_documents_frozen(text, want):
-    # hashes recorded from the engine that truncated every series at total
-    # degree sum(n) in all variables
+    # the first two hashes were recorded from the engine that truncated
+    # every series at total degree sum(n) in all variables
     assert _document_sha256(inv_element(parse(text, sort=HBAR))) == want
 
 

@@ -8,7 +8,7 @@ from hypothesis import given, settings, strategies as st
 from lihopf.algebra import H, HBAR, Element, gen_elem, li, log
 from lihopf.coproduct import _bracket_series, _inv_series, _inv_series_on
 from lihopf.lincomb import clear_caches
-from lihopf.series import TruncatedSeries
+from lihopf.series import LIMIT, TruncatedSeries
 
 
 def x(i):
@@ -110,6 +110,24 @@ def test_shapes_are_canonical():
     assert TruncatedSeries(H, (2, 2), 2) != TruncatedSeries(H, (2, 2), 3)
 
 
+def test_fields_hold_exponents_up_to_the_limit_and_no_further():
+    # every exponent field, the total's included, holds at most LIMIT; a
+    # shape one past it raises before it holds a term, and a product at
+    # the limit neither wraps nor carries into the next field
+    TruncatedSeries(H, (LIMIT + 1,), LIMIT)   # canonical caps (LIMIT,)
+    for caps, total in (((LIMIT + 1,), None), ((LIMIT, 1), None),
+                        ((LIMIT, LIMIT), LIMIT + 1)):
+        with pytest.raises(ValueError):
+            TruncatedSeries(H, caps, total)
+    shape = TruncatedSeries(H, (LIMIT, LIMIT), LIMIT)
+    t0, t1 = shape.linear_form([(0, 1)]), shape.linear_form([(1, 1)])
+    high = shape._like({(LIMIT - 1, 0): x(1)})
+    assert (high * t0).coefficients() == {(LIMIT, 0): x(1)}
+    assert (high * t1).coefficients() == {(LIMIT - 1, 1): x(1)}
+    for past in (high * t0 * t0, high * t1 * t1, high * high):
+        assert past.terms == {}
+
+
 def test_equal_demands_share_one_inversion_series():
     # the same kept set, spelled with loose caps and with a cap on a
     # variable the bracket does not use, is one cache entry
@@ -147,8 +165,7 @@ def _integral(s):
 
 def _numerators(s, e):
     """The numerators stored at exponent e, as an Element."""
-    return Element(s.sort, {mon: v for (f, mon), v in s.terms.items()
-                            if f == e})
+    return s.coefficient(e) * s.den
 
 
 def test_exp_linear_has_integer_numerators_over_k_factorial():
@@ -277,6 +294,29 @@ LAW_SERIES = st.tuples(
     st.sampled_from([1, 2, 6])).map(lambda t: LAW_SHAPE._like(*t))
 LINEAR_IMAGES = st.lists(st.tuples(st.integers(0, 1), st.fractions(
     min_value=-2, max_value=2, max_denominator=2)), min_size=1, max_size=2)
+
+
+def _bounded_exponents(n):
+    """Exponent tuples of n variables of total at most LIMIT, any one
+    entry of them up to LIMIT itself."""
+    def fill(e):
+        if len(e) == n:
+            return st.permutations(e).map(tuple)
+        return st.integers(0, LIMIT - sum(e)).flatmap(
+            lambda k: fill(e + (k,)))
+    return fill(())
+
+
+@settings(max_examples=40, deadline=None)
+@given(st.integers(1, 3).flatmap(lambda n: st.dictionaries(
+    _bounded_exponents(n), LAW_ELEMENTS | RATIONALS, max_size=4).map(
+        lambda terms: (n, terms))))
+def test_keys_decode_to_what_was_stored_up_to_the_field_limit(case):
+    n, terms = case
+    got = TruncatedSeries(H, (LIMIT,) * n, LIMIT)._like(terms).coefficients()
+    want = {e: c if isinstance(c, Element) else Element.constant(c, H)
+            for e, c in terms.items()}
+    assert got == {e: c for e, c in want.items() if not c.is_zero()}
 
 
 def _box(shape):
