@@ -27,7 +27,8 @@ one unit from field v and from field n; and a product of monomials is
 one lookup in the id table.  ``substitute`` reads exponent fields; only
 ``coefficients`` (behind ``coefficient`` and ``__repr__``) reads whole
 keys.  ``clear_caches`` empties the id table and never reissues an id,
-so a series kept across a clear raises ValueError when read after it.
+so a series kept across a clear raises ValueError when decoded or
+compared after it, and a product with it raises or passes its ids on.
 
 The denominator is a value, not part of the shape.  A product multiplies
 the denominators, scaling by a rational or an Element folds the
@@ -39,7 +40,6 @@ denominators, and equality compares values across denominators.
 
 from fractions import Fraction
 from math import factorial, lcm
-from operator import le
 
 from .algebra import ID_BITS, MONOMIALS, Element
 from .lincomb import LinComb, as_fraction, collect
@@ -94,9 +94,7 @@ class TruncatedSeries(LinComb):
     def _new(self, terms, den=None):
         """A result shaped like self: terms / den, by default self's den."""
         out = object.__new__(TruncatedSeries)
-        out.caps = self.caps
-        out.total = self.total
-        out.sort = self.sort
+        out.caps, out.total, out.sort = self.caps, self.total, self.sort
         out._layout = self._layout
         out.den = self.den if den is None else den
         out.terms = terms
@@ -110,8 +108,6 @@ class TruncatedSeries(LinComb):
         """The right operand restricted to this series' truncation."""
         if (len(other.caps), other.sort) != (len(self.caps), self.sort):
             return LinComb._conform(self, other)
-        if other.total <= self.total and all(map(le, other.caps, self.caps)):
-            return self._new(dict(other.terms), other.den)
         bias, guards, _ = self._layout
         return self._new({k: c for k, c in other.terms.items()
                           if not k + bias & guards}, other.den)
@@ -119,14 +115,20 @@ class TruncatedSeries(LinComb):
     def _like(self, terms=None, den=1):
         """sum of terms[e] t^e over den, truncated like self: terms maps
         exponents to Elements or rationals, whose denominators are folded
-        into the result's."""
+        into the result's.  An exponent of another length raises."""
+        n, total, (bias, guards, _) = len(self.caps), self.total, self._layout
         pairs = []
         for e, c in (terms or {}).items():
             e = tuple(e)
-            if len(e) != len(self.caps) or sum(e) > self.total \
-                    or not all(map(le, e, self.caps)):
+            if len(e) != n:
+                raise ValueError("exponent %s, not of length %d" % (e, n))
+            s = sum(e)
+            if s > total:
                 continue
-            k = int.from_bytes(bytes(e + (sum(e),)), "little")
+            # every field is at most total <= LIMIT: adding bias carries not
+            k = int.from_bytes(bytes(e + (s,)), "little")
+            if k + bias & guards:
+                continue
             if isinstance(c, Element):
                 pairs.extend((k | self._monomial_key(mon), v)
                              for mon, v in c.terms.items())
@@ -138,8 +140,6 @@ class TruncatedSeries(LinComb):
 
     def constant(self, value):
         """value, an Element or a rational, shaped like self."""
-        if value.__class__ is int:
-            return self._new({0: value} if value else {}, 1)
         return self._like({(0,) * len(self.caps): value})
 
     def coefficient(self, e):
@@ -221,6 +221,9 @@ class TruncatedSeries(LinComb):
             return NotImplemented
         if not self._same_shape(other):
             return False
+        shift, base = self._layout[2], MONOMIALS.base
+        if any(0 < k >> shift < base for k in (*self.terms, *other.terms)):
+            raise ValueError("a monomial id predates clear_caches()")
         a, b = self.den, other.den
         if a == b:
             return self.terms == other.terms
@@ -233,12 +236,9 @@ class TruncatedSeries(LinComb):
 
     def linear_form(self, pairs):
         """sum of c * t_v for (v, c) in pairs, as a series shaped like self."""
-        degree, caps = 1 << len(self.caps) * WIDTH, self.caps
-        terms = collect((degree | 1 << v * WIDTH, c) for v, c in pairs
-                        if caps[v])
-        m = lcm(*[c.denominator for c in terms.values()])
-        return self._new({k: c.numerator * (m // c.denominator)
-                          for k, c in terms.items()}, m)
+        n = len(self.caps)
+        return self._like(collect(
+            ((0,) * v + (1,) + (0,) * (n - 1 - v), c) for v, c in pairs))
 
     def exp_linear(self, value, pairs):
         """exp(value * linear_form(pairs)), truncated.  value is an Element.

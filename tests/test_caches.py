@@ -58,19 +58,29 @@ def test_clear_caches_empties_every_memo():
 
 def test_a_series_from_before_a_clear_is_never_decoded_after_it():
     # the monomial table never reissues an id: once clear_caches() has
-    # emptied it, a series that still holds an old id raises when read or
-    # multiplied, however many monomials were interned since
+    # emptied it, a series that still holds an old id raises when read,
+    # compared or multiplied by a monomial, however many monomials were
+    # interned since; a product by a rational carries the old ids on and
+    # raises in the same way
     mons = [gen_elem(li((1, 2, 3), (a, b)), H) for a in (1, 2) for b in (1, 2)]
     shape = TruncatedSeries(H, (1,))
-    old = shape.constant(mons[0]) + shape.linear_form([(0, 1)]) * mons[1]
+
+    def build():
+        return shape.constant(mons[0]) + shape.linear_form([(0, 1)]) * mons[1]
+
+    old = build()
     assert old.coefficients() == {(0,): mons[0], (1,): mons[1]}
     clear_caches()
     new = shape.constant(mons[2] + mons[3] + mons[0] * mons[1])
     assert new.coefficient((0,)) == mons[2] + mons[3] + mons[0] * mons[1]
+    scaled = old * shape.linear_form([(0, 2)])
     for read in (old.coefficients, lambda: old.coefficient((1,)),
-                 lambda: repr(old), lambda: old * new):
+                 lambda: repr(old), lambda: old * new, lambda: old == build(),
+                 lambda: build() == old, scaled.coefficients,
+                 lambda: scaled == build()):
         with pytest.raises(ValueError):
             read()
+    assert build() == build()
 
 
 def test_monomial_ids_stop_short_of_the_pair_width():

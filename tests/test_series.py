@@ -128,6 +128,17 @@ def test_fields_hold_exponents_up_to_the_limit_and_no_further():
         assert past.terms == {}
 
 
+def test_an_exponent_of_another_length_raises():
+    # the fields of a key are the shape's variables: an exponent that
+    # names more or fewer of them is an error, not a term to drop
+    shape = TruncatedSeries(H, (2, 2))
+    for e in ((1,), (0, 1, 0), ()):
+        with pytest.raises(ValueError):
+            shape._like({e: x(1)})
+        with pytest.raises(ValueError):
+            TruncatedSeries(H, (2, 2), None, {e: 1})
+
+
 def test_equal_demands_share_one_inversion_series():
     # the same kept set, spelled with loose caps and with a cap on a
     # variable the bracket does not use, is one cache entry
