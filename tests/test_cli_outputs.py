@@ -5,12 +5,14 @@ loaded by path) must reproduce the digest recorded in
 perfbench/digests.json.  Outputs the catalog does not cover are pinned
 here as sha256 values of the exact text: JSON of zero and constant
 values, the empty word and a depth-4 coproduct, varmatrix latex/text for
-the gauge-lifted pair and the blocks, the structural suite's text
-report, and one verification failure line per compound operand type.  A
-constant term prints as its bare rational in every format.  The digests
-hash parsed JSON, so the JSON layout (``json.dumps`` with ``indent=2``
-and ``sort_keys=True``) is checked on the raw text, and each JSON writer
-is checked against its document builder on random values.
+the gauge-lifted pair and the blocks at weights (2, 1), the pair in
+every format at (1, 1, 1) and all but omegahat text at (1, 2), the
+structural suite's text report, and one verification failure line per
+compound operand type.  A constant term prints as its bare rational in
+every format.  The digests hash parsed JSON, so the JSON layout
+(``json.dumps`` with ``indent=2`` and ``sort_keys=True``) is checked on
+the raw text, and each JSON writer is checked against its document
+builder on random values.
 """
 
 import contextlib
@@ -169,26 +171,56 @@ def test_in_process_calls_keep_no_output_alive(args):
 
 # varmatrix --weights 2,1 --what WHAT --format FMT
 PINNED_VARMATRIX = {
-    ("omegahat", "latex"):
+    ("2,1", "omegahat", "latex"):
         "348a545b5153a748990c73793be7d3282721c47493e1f8f7f7b709148d3d30dd",
-    ("omegahat", "text"):
+    ("2,1", "omegahat", "text"):
         "eea54164c5a8c47804cf2a31816d3b677825da221415285bc14035361632779e",
-    ("Vhat", "latex"):
+    ("2,1", "Vhat", "latex"):
         "d831eef2f62ad0abb94dd653ce0ecf6299171d1eb2d3b22708d9941eab2d281c",
-    ("Vhat", "text"):
+    ("2,1", "Vhat", "text"):
         "ad0daa42abd2e57b2f4e7ebd2ddb8bb995e7328db806dae3492379aa307911c4",
-    ("blocks", "latex"):
+    ("2,1", "blocks", "latex"):
         "31c0e41920027c984659fa344a0fceaa0c7f595ed837139ac6de2eef8a586de4",
-    ("blocks", "text"):
+    ("2,1", "blocks", "text"):
         "31c0e41920027c984659fa344a0fceaa0c7f595ed837139ac6de2eef8a586de4",
+    # (1, 2) omegahat text is left out: it prints a "+ -" sum
+    ("1,2", "omegahat", "json"):
+        "938efb69a076a6b9d5ad6fe96969423dca63a46104efce8f9c7a63132ceaa765",
+    ("1,2", "omegahat", "latex"):
+        "a417625a2e61dccfb6a4f39214431af369d47574af3d89d21f0ba395ae3fbf64",
+    ("1,2", "Vhat", "json"):
+        "869a20bcedbac58501125bed6199c48547bb9061f42711642c79986aa5df4893",
+    ("1,2", "Vhat", "latex"):
+        "600ddf44366a3c331affcb2f33075a9e5741ea0dfdf0753e88db7384c55b0f9f",
+    ("1,2", "Vhat", "text"):
+        "6361de42daf2f333e5fd90c8be41691d81118b93fb41c7cd2d50e332fb0fd81a",
+    ("1,1,1", "omegahat", "json"):
+        "a904136576ed7e69cd51413ece50406faa836ffd8f8ff7d8330539be08770d2d",
+    ("1,1,1", "omegahat", "latex"):
+        "d65849610372ee550fff50d30aea3826af7b86a54596ba0c2d3e82237cb08a3d",
+    ("1,1,1", "omegahat", "text"):
+        "5184880947a80f935b77549b25464321be59bcc62c33f16b5ff36d6bffb59787",
+    ("1,1,1", "Vhat", "json"):
+        "6c587c391b71669466651641eb8e9937b3f3c3c89f611b7efd06a8a1ca5e3349",
+    ("1,1,1", "Vhat", "latex"):
+        "ae00e9368922a509f8ddf80a0dbaa95b7ba61ce57c43842de44a4680daf90877",
+    ("1,1,1", "Vhat", "text"):
+        "a7522b16c4777bbd4481a1f9e7eff440da0989899306f1b610f700d7ebe939fb",
 }
 
 
-@pytest.mark.parametrize("what, fmt", sorted(PINNED_VARMATRIX))
-def test_varmatrix_outputs_pinned(what, fmt):
-    out = run_cli(["varmatrix", "--weights", "2,1", "--what", what,
+def _varmatrix_id(key):
+    # the (2, 1) pins came first; their ids name no weights
+    weights, what, fmt = key
+    return "-".join((what, fmt) if weights == "2,1" else key)
+
+
+@pytest.mark.parametrize("key", sorted(PINNED_VARMATRIX), ids=_varmatrix_id)
+def test_varmatrix_outputs_pinned(key):
+    weights, what, fmt = key
+    out = run_cli(["varmatrix", "--weights", weights, "--what", what,
                    "--format", fmt])
-    assert sha(out) == PINNED_VARMATRIX[what, fmt]
+    assert sha(out) == PINNED_VARMATRIX[key]
 
 
 def test_verify_text_report_pinned():
