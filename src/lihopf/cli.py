@@ -148,20 +148,20 @@ def varmatrix_cmd(weights, what, sort_name, fmt):
             _echo(" | ".join(str(b) for b in doc["boundaries"]))
         return
     if what == "V":
-        rows = V.rows
+        M = V
     elif what == "Omega":
-        rows = omega_matrix(V)
+        M = omega_matrix(V)
     elif what == "omega":
-        rows = omega_form_matrix(V)
+        M = omega_form_matrix(V)
     elif what == "omegahat":
-        rows = omega_hat(V)
+        M = omega_hat(V)
     elif what == "Vhat":
-        rows = v_hat(V)
+        M = v_hat(V)
     else:
         # the sum over n of w(V_n), by linearity of w
-        rows = [[w_element(e) for e in row] for row in V.rows]
+        M = V.map(w_element)
 
-    cells = [[render(x, fmt) for x in row] for row in rows]
+    cells = [[render(x, fmt) for x in row] for row in M.rows]
     if fmt == "json":
         _echo(matrix_json(what, nvec, sort_name, V.keys, cells))
     elif fmt == "latex":

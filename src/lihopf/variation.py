@@ -15,6 +15,9 @@ gauge-transformed fundamental solution V-hat.
 The componentwise key enumeration is not always closed under taking left
 slots (the smallest failure is the weight vector (1, 2)); build_V grows
 the key set to closure.
+
+Every matrix is a ``Matrix`` of its nonzero entries, keyed by (v, w) pairs
+of weight vectors; ``rows``, the dense view with zeros, is for output.
 """
 
 import itertools
@@ -48,44 +51,92 @@ def _left_vector(lmon):
 
 
 def _rows_of(keys, sort):
-    """{key: row} for every key of keys, each row a map column-key ->
-    read-only Element; the coproducts of the keys' generators are one
+    """{(v, w): read-only Element} over the nonzero entries of the rows of
+    keys but the unit's; the coproducts of the keys' generators are one
     batch."""
     gens = {v: vector_to_generator(v) for v in keys if v != ZERO_VECTOR}
     tensors = coproduct_generators(gens.values(), sort)
-    rows = {}
-    for v in keys:
-        if v == ZERO_VECTOR:
-            rows[v] = {ZERO_VECTOR: Element.one(sort).frozen()}
-            continue
+    entries = {}
+    for v, g in gens.items():
         row = collect((_left_vector(lmon),
                        Element.from_monomial(rmon, sort, c))
-                      for (lmon, rmon), c in tensors[gens[v]].terms.items())
-        rows[v] = {w: e.frozen() for w, e in row.items()}
-    return rows
+                      for (lmon, rmon), c in tensors[g].terms.items())
+        entries.update(((v, w), e.frozen()) for w, e in row.items())
+    return entries
 
 
-class VariationMatrix:
-    """Immutable: ``build_V`` hands one matrix to every caller."""
+class Matrix:
+    """Immutable, over keys in precede order: every pair (v, w) missing
+    from ``entries`` holds ``zero``.  Each operation visits nonzero entries
+    only and sums through ``collect``, which drops what cancels."""
 
-    __slots__ = ("nvec", "sort", "keys", "index", "rows")
+    __slots__ = ("keys", "zero", "entries")
 
-    def __init__(self, nvec, sort, keys, rows):
-        object.__setattr__(self, "nvec", tuple(nvec))
-        object.__setattr__(self, "sort", sort)
+    def __init__(self, keys, zero, entries):
         object.__setattr__(self, "keys", tuple(keys))
-        object.__setattr__(self, "index", MappingProxyType(
-            {k: i for i, k in enumerate(keys)}))
-        object.__setattr__(self, "rows", rows)
+        object.__setattr__(self, "zero", zero)
+        object.__setattr__(self, "entries", MappingProxyType(entries))
 
     def __setattr__(self, name, value):
-        raise AttributeError("VariationMatrix is immutable")
+        raise AttributeError("%s is immutable" % self.__class__.__name__)
 
-    def size(self):
-        return len(self.keys)
+    @staticmethod
+    def identity(keys, one):
+        return Matrix(keys, one.scale(0), {(k, k): one for k in keys})
 
     def entry(self, v, w):
-        return self.rows[self.index[v]][self.index[w]]
+        return self.entries.get((v, w), self.zero)
+
+    @property
+    def rows(self):
+        """Every entry, zeros included, row by row in key order: the
+        dense view that output renders."""
+        get, zero = self.entries.get, self.zero
+        return tuple(tuple(get((v, w), zero) for w in self.keys)
+                     for v in self.keys)
+
+    def map(self, fn):
+        """The matrix of fn(entry) for a linear fn, whose zero is
+        fn(zero)."""
+        return Matrix(self.keys, fn(self.zero),
+                      collect((k, fn(x)) for k, x in self.entries.items()))
+
+    def combine(self, parts):
+        """self plus c * M for every (M, c) of parts, each entry summed
+        once; the result has self's keys and zero."""
+        return Matrix(self.keys, self.zero, collect(itertools.chain(
+            self.entries.items(), ((k, x.scale(c)) for M, c in parts
+                                   for k, x in M.entries.items()))))
+
+    def by_row(self):
+        """{v: [(w, entry), ...]} over the nonzero entries."""
+        out = {}
+        for (v, w), x in self.entries.items():
+            out.setdefault(v, []).append((w, x))
+        return out
+
+    def __mul__(self, other):
+        """The product, row by row (Gustavson): each nonzero (v, r) of
+        self meets the nonzero entries of row r of other."""
+        right = other.by_row()
+        return Matrix(self.keys, self.zero * other.zero, collect(
+            ((v, w), a * b) for (v, r), a in self.entries.items()
+            for w, b in right.get(r, ())))
+
+    def __eq__(self, other):
+        return (isinstance(other, Matrix) and self.keys == other.keys
+                and self.entries == other.entries)
+
+
+class VariationMatrix(Matrix):
+    """Immutable: ``build_V`` hands one matrix to every caller."""
+
+    __slots__ = ("nvec", "sort")
+
+    def __init__(self, nvec, sort, keys, entries):
+        object.__setattr__(self, "nvec", tuple(nvec))
+        object.__setattr__(self, "sort", sort)
+        super().__init__(keys, Element.zero(sort).frozen(), entries)
 
     def block_boundaries(self):
         """Cumulative key counts per total weight level."""
@@ -113,58 +164,34 @@ def build_V(nvec, sort=HBAR):
 @memo
 def _build_V(nvec, sort):
     # each round of rows is one batch: the keys first enumerated, then the
-    # left slots not yet known, until none is missing
-    known = {}
+    # left slots not yet known; read-only entries let callers share it
+    entries = {(ZERO_VECTOR, ZERO_VECTOR): Element.one(sort).frozen()}
+    known = set()
     keys = enumerate_keys(nvec)
     while keys:
-        known.update(_rows_of(keys, sort))
-        keys = list(dict.fromkeys(w for row in known.values() for w in row
-                                  if w not in known))
-    keys = sorted(known, key=precede_key)
-    # rows are tuples of read-only entries: the cached matrix is shared by
-    # every caller
-    zero = Element.zero(sort).frozen()
-    rows = tuple(tuple(known[v].get(w, zero) for w in keys) for v in keys)
-    return VariationMatrix(nvec, sort, keys, rows)
+        entries.update(_rows_of(keys, sort))
+        known.update(keys)
+        keys = list(dict.fromkeys(w for _, w in entries if w not in known))
+    return VariationMatrix(nvec, sort, sorted(known, key=precede_key),
+                           entries)
 
 
-# ---------------------------------------------------------------------------
-# dense matrix helpers (sizes here are tiny)
-
-def matmul(A, B):
-    return [[(row[0] * B[0][j]).sum(row[r] * B[r][j]
-                                    for r in range(1, len(B)))
-             for j in range(len(B[0]))] for row in A]
-
-
-def _mat_combination(mats, zero, size):
-    """The size x size matrix sum of c * M over the (M, c) in mats, each
-    entry summed once from zero."""
-    return [[zero.sum(M[i][j].scale(c) for M, c in mats)
-             for j in range(size)] for i in range(size)]
-
-
-def mat_scale(A, c):
-    return [[a * c for a in row] for row in A]
-
-
-def mat_is_zero(A):
-    return not any(x for row in A for x in row)
-
-
-def nilpotent_exp(M, one, zero, negate=False):
+def nilpotent_exp(M, one, negate=False):
     """exp(M) (or exp(-M)) for a strictly triangular matrix; the series
     stops on its own once the power vanishes."""
-    n = len(M)
-    power = [[one if i == j else zero for j in range(n)] for i in range(n)]
-    powers = [(power, 1)]
     sign = -1 if negate else 1
-    for k in range(1, n + 1):
-        power = matmul(power, M)
-        if mat_is_zero(power):
+    powers, power = [], M
+    for k in range(1, len(M.keys) + 1):
+        if not power.entries:
             break
         powers.append((power, Fraction(sign ** k, math.factorial(k))))
-    return _mat_combination(powers, zero, n)
+        power = power * M
+    return Matrix.identity(M.keys, one).combine(powers)
+
+
+def _bracket(A, B):
+    """The commutator AB - BA."""
+    return (A * B).combine([(B * A, -1)])
 
 
 # ---------------------------------------------------------------------------
@@ -173,10 +200,8 @@ def nilpotent_exp(M, one, zero, negate=False):
 def antipode_ok(V):
     """sum over w of S(V[w][z]) * V[v][w] == delta(v, z): V times S(V) is
     the identity."""
-    one, zero = Element.one(V.sort), Element.zero(V.sort)
-    prod = matmul(V.rows, [[antipode(e) for e in row] for row in V.rows])
-    return all(x == (one if v == z else zero)
-               for v, row in enumerate(prod) for z, x in enumerate(row))
+    return V * V.map(antipode) == Matrix.identity(V.keys,
+                                                   Element.one(V.sort))
 
 
 # ---------------------------------------------------------------------------
@@ -186,38 +211,36 @@ def omega_matrix(V):
     """Omega: the weight-one parts as letter polynomials."""
     if V.sort != H:
         raise ValueError("the letter polynomials need the plain sort")
-    return [[element_to_poly(e.weight_part(1)) for e in row]
-            for row in V.rows]
+    return V.map(lambda e: element_to_poly(e.weight_part(1)))
 
 
 def omega_form_matrix(V):
     """omega = d Omega, entry by entry."""
-    return [[Form(0, {(): p}).exterior_d() for p in row]
-            for row in omega_matrix(V)]
+    return omega_matrix(V).map(lambda p: Form(0, {(): p}).exterior_d())
 
 
 def _flat(M, conn):
     """d M == conn M with d the letter-basis derivation: for every entry,
-    derive(M[i][j]) is the sum over r of conn[i][r] M[r][j], read letter
+    derive(M[v][w]) is the sum over r of conn[v][r] M[r][w], read letter
     by letter."""
-    n = len(M)
-    coeffs = [[[(basis[0], poly_to_element(p, H))
-                for basis, p in f.terms.items()] for f in row]
-              for row in conn]
-    return all(derive(M[i][j]) == collect((sym, e * M[r][j])
-                                          for r in range(n)
-                                          for sym, e in coeffs[i][r])
-               for i in range(n) for j in range(n))
+    right = M.by_row()
+    lhs = {((v, w), sym): e for (v, w), x in M.entries.items()
+           for sym, e in derive(x).items()}
+    rhs = collect((((v, w), basis[0]), poly_to_element(p, H) * x)
+                  for (v, r), f in conn.entries.items()
+                  for basis, p in f.terms.items()
+                  for w, x in right.get(r, ()))
+    return lhs == rhs
 
 
 def derivation_ok(V):
     """dV == omega V with d the letter-basis derivation."""
-    return _flat(V.rows, omega_form_matrix(V))
+    return _flat(V, omega_form_matrix(V))
 
 
 def w_of_V(V, n):
     """One-form matrix of the weight-n graded piece, entry by entry."""
-    return [[w_element(e.weight_part(n)) for e in row] for row in V.rows]
+    return V.map(lambda e: w_element(e.weight_part(n)))
 
 
 def w_closed_form(V, n):
@@ -226,33 +249,25 @@ def w_closed_form(V, n):
     two agree."""
     om = omega_matrix(V)
     omf = omega_form_matrix(V)
-    size = V.size()
-    pzero, pone = Poly.zero(), Poly.one()
-    ident = [[pone if i == j else pzero for j in range(size)]
-             for i in range(size)]
-    pows = [ident]
+    pows = [Matrix.identity(V.keys, Poly.one())]
     for _ in range(n - 1):
-        pows.append(matmul(pows[-1], om))
-    return _mat_combination(
-        [(matmul(matmul(pows[k], omf), pows[n - 1 - k]),
-          Fraction((-1) ** k * math.comb(n - 1, k), math.factorial(n)))
-         for k in range(n)], Form(1), size)
+        pows.append(pows[-1] * om)
+    return Matrix(V.keys, Form(1), {}).combine(
+        (pows[k] * omf * pows[n - 1 - k],
+         Fraction((-1) ** k * math.comb(n - 1, k), math.factorial(n)))
+        for k in range(n))
 
 
 def omega_hat(V):
     """The gauge-transformed connection sum((n-1) w(V_n), n >= 2)."""
-    return _mat_combination([(w_of_V(V, n), n - 1)
-                             for n in range(2, sum(V.nvec) + 1)],
-                            Form(1), V.size())
+    return Matrix(V.keys, Form(1), {}).combine(
+        (w_of_V(V, n), n - 1) for n in range(2, sum(V.nvec) + 1))
 
 
 def v_hat(V):
     """V-hat = exp(-Omega) V, an Element matrix."""
-    om_elem = [[poly_to_element(p, H) for p in row]
-               for row in omega_matrix(V)]
-    gauge = nilpotent_exp(om_elem, Element.one(H), Element.zero(H),
-                          negate=True)
-    return matmul(gauge, V.rows)
+    om_elem = omega_matrix(V).map(lambda p: poly_to_element(p, H))
+    return nilpotent_exp(om_elem, Element.one(H), negate=True) * V
 
 
 def hat_derivation_ok(V):
@@ -262,11 +277,9 @@ def hat_derivation_ok(V):
 
 def chain_map_ok(V):
     """d w(V_n) + sum over p+q=n of w(V_p) ^ w(V_q) == 0."""
-    size = V.size()
     w = {n: w_of_V(V, n) for n in range(1, sum(V.nvec) + 1)}
-    return not any(w[n][i][j].exterior_d().sum(
-        w[p][i][r] * w[n - p][r][j] for p in range(1, n) for r in range(size))
-        for n in w for i in range(size) for j in range(size))
+    return not any(w[n].map(Form.exterior_d).combine(
+        (w[p] * w[n - p], 1) for p in range(1, n)).entries for n in w)
 
 
 def curvature_identity_ok(V):
@@ -275,41 +288,27 @@ def curvature_identity_ok(V):
     om = omega_matrix(V)
     omf = omega_form_matrix(V)
     oh = omega_hat(V)
-    d_oh = [[f.exterior_d() for f in row] for row in oh]
-    lhs = _mat_combination([(d_oh, 1), (matmul(oh, oh), -1)], Form(2),
-                           V.size())
-    pone, pzero = Poly.one(), Poly.zero()
-    gm = nilpotent_exp(om, pone, pzero, negate=True)
-    gp = nilpotent_exp(om, pone, pzero, negate=False)
-    rhs = mat_scale(matmul(matmul(gm, matmul(omf, omf)), gp), Fraction(-1))
-    return lhs == rhs
+    conj = (nilpotent_exp(om, Poly.one(), negate=True) * (omf * omf)
+            * nilpotent_exp(om, Poly.one()))
+    return not oh.map(Form.exterior_d).combine(
+        [(oh * oh, -1), (conj, 1)]).entries
 
 
 def recurrence_ok(V):
-    """(n+1)! w(V_{n+1}) == [n! w(V_n), Omega] for every n below the top."""
+    """(n+1) w(V_{n+1}) == [w(V_n), Omega] for every n below the top: the
+    paper's (n+1)! w(V_{n+1}) == [n! w(V_n), Omega] divided by n!."""
     om = omega_matrix(V)
-    for n in range(1, sum(V.nvec)):
-        wn = mat_scale(w_of_V(V, n), Fraction(math.factorial(n)))
-        bracket = _mat_combination(
-            [(matmul(wn, om), 1), (matmul(om, wn), -1)], Form(1), V.size())
-        wn1 = mat_scale(w_of_V(V, n + 1),
-                        Fraction(math.factorial(n + 1)))
-        if wn1 != bracket:
-            return False
-    return True
+    return all(w_of_V(V, n + 1).map(lambda f: f.scale(n + 1))
+               == _bracket(w_of_V(V, n), om) for n in range(1, sum(V.nvec)))
 
 
 def corollary_form_ok(nvec):
     """w(g_n) recovered from the commutator slice at (row n, column 0)."""
     V = build_V(nvec, H)
-    om = omega_matrix(V)
     n = sum(nvec)
     if n < 2:
         return True
-    wv = w_of_V(V, n - 1)
-    i = V.index[tuple(nvec)]
-    j = V.index[ZERO_VECTOR]
-    acc = Form(1).sum(wv[i][r] * om[r][j] - om[i][r] * wv[r][j]
-                      for r in range(V.size()))
+    acc = _bracket(w_of_V(V, n - 1), omega_matrix(V)).entry(tuple(nvec),
+                                                           ZERO_VECTOR)
     want = w_element(gen_elem(vector_to_generator(tuple(nvec))))
     return acc == want * n

@@ -77,7 +77,6 @@ from .variation import (
     curvature_identity_ok,
     derivation_ok,
     hat_derivation_ok,
-    matmul,
     omega_form_matrix,
     omega_hat,
     omega_matrix,
@@ -184,6 +183,20 @@ def bracket_generators(max_weight, max_depth, include_inverted=True):
 
 def _tensor_pairs(sort, *pairs):
     return Tensor.zero((sort, sort)).sum(Tensor.of(a, b) for a, b in pairs)
+
+
+def _differences(M, table):
+    """The keys (v, w) where the matrix M and the table differ, a pair
+    missing from either standing for zero; only the nonzero entries of M
+    and the pairs of the table are visited."""
+    return [k for k in dict.fromkeys([*M.entries, *table])
+            if M.entry(*k) != table.get(k, M.zero)]
+
+
+def _block(keys, block):
+    """The table of a 3 x 3 block at rows 3-5, columns 0-2 of keys."""
+    return {(keys[3 + i], keys[j]): x for i, row in enumerate(block)
+            for j, x in enumerate(row)}
 
 
 # ---------------------------------------------------------------------------
@@ -316,9 +329,8 @@ def _suite_golden(rep, max_weight=None, max_depth=None, seed=0):
         ((2, 1), (1, 1)): u1_h, ((2, 1), (2, 0)): x2(1),
         ((2, 1), (2, 1)): one_h,
     }
-    bad = [(v, w) for v in V.keys for w in V.keys
-           if V.entry(v, w) != table.get((v, w), zero_h)]
-    rep.check_eq("variation matrix at weights (2,1)", bad, [])
+    rep.check_eq("variation matrix at weights (2,1)",
+                 _differences(V, table), [])
 
     # -- connection matrix at weights (2, 1)
     om = omega_matrix(V)
@@ -329,28 +341,19 @@ def _suite_golden(rep, max_weight=None, max_depth=None, seed=0):
         ((2, 0), (1, 0)): P(u1) + P(u2),
         ((2, 1), (1, 1)): P(u1), ((2, 1), (2, 0)): -P(v22),
     }
-    bad = [(v, w) for i, v in enumerate(V.keys) for j, w in enumerate(V.keys)
-           if om[i][j] != table.get((v, w), Poly.zero())]
-    rep.check_eq("connection matrix at weights (2,1)", bad, [])
+    rep.check_eq("connection matrix at weights (2,1)",
+                 _differences(om, table), [])
 
     # -- lifted depth-one column: hatted connection and hatted matrix
     V5 = build_V((5,), H)
-    oh = omega_hat(V5)
-    bad = []
-    for i, vk in enumerate(V5.keys):
-        n = sum(vk)
-        for j in range(len(V5.keys)):
-            if j == 0 and n >= 2:
-                want = w_element(x1(n)).scale(Fraction(n - 1))
-                if oh[i][j] != want:
-                    bad.append((vk, j))
-            elif not oh[i][j].is_zero():
-                bad.append((vk, j))
-    rep.check_eq("hatted connection for a depth-one column", bad, [])
+    table = {((n,), ()): w_element(x1(n)).scale(Fraction(n - 1))
+             for n in range(2, 6)}
+    rep.check_eq("hatted connection for a depth-one column",
+                 _differences(omega_hat(V5), table), [])
     vh = v_hat(V5)
     bad = []
     for k in range(1, 6):
-        got = vh[V5.index[(k,)]][0]
+        got = vh.entry((k,), ())
         want = poly_to_element(
             Poly({(u1,) * (k - 1) + (v11,):
                   Fraction(-((-1) ** k), math.factorial(k))}), H).sum(
@@ -362,20 +365,14 @@ def _suite_golden(rep, max_weight=None, max_depth=None, seed=0):
 
     # -- lifted block at weights (2, 1)
     V21 = build_V((2, 1), H)
-    oh = omega_hat(V21)
     w11 = w_element(G11h)
     w21 = w_element(G21h)
     block = [[w11, Form(1), Form(1)],
              [w_element(x12(2)), Form(1), Form(1)],
              [w21.scale(Fraction(2)), w_element(x1(2)),
               (-w_element(x1(2))) - w_element(x2(2))]]
-    bad = []
-    for i in range(6):
-        for j in range(6):
-            want = block[i - 3][j] if (i >= 3 and j < 3) else Form(1)
-            if oh[i][j] != want:
-                bad.append((i, j))
-    rep.check_eq("hatted connection block at weights (2,1)", bad, [])
+    rep.check_eq("hatted connection block at weights (2,1)",
+                 _differences(omega_hat(V21), _block(V21.keys, block)), [])
 
     def lifted_depth_one(a, b):
         return (gen_elem(li((a, b), (2,)), H)
@@ -396,18 +393,10 @@ def _suite_golden(rep, max_weight=None, max_depth=None, seed=0):
              [lifted_depth_one(1, 3), zero_h, zero_h],
              [L21, lifted_depth_one(1, 2),
               -lifted_depth_one(1, 2) - lifted_depth_one(2, 3)]]
-    bad = []
-    for i in range(6):
-        for j in range(6):
-            if i >= 3 and j < 3:
-                want = block[i - 3][j]
-            elif i == j:
-                want = one_h
-            else:
-                want = zero_h
-            if vh[i][j] != want:
-                bad.append((i, j))
-    rep.check_eq("hatted matrix block at weights (2,1)", bad, [])
+    table = {(k, k): one_h for k in V21.keys}
+    table.update(_block(V21.keys, block))
+    rep.check_eq("hatted matrix block at weights (2,1)",
+                 _differences(vh, table), [])
 
     # -- the commutator recurrence, spot instances
     rep.check("commutator recurrence at weights (2,1)",
@@ -629,7 +618,7 @@ def _suite_iterint(rep, max_weight=None, max_depth=None, seed=0):
 def _suite_numeric(rep, max_weight=None, max_depth=None, seed=0):
     for nvec in [(2,), (3,), (1, 1), (2, 1), (1, 2), (1, 1, 1)]:
         omf = omega_form_matrix(build_V(nvec, H))
-        wedge = matmul(omf, omf)
+        wedge = omf * omf
         dim = len(nvec)
         for k in range(20):
             vals = sample_point(dim, seed=seed + k)
@@ -639,11 +628,9 @@ def _suite_numeric(rep, max_weight=None, max_depth=None, seed=0):
                 continue
             tb = tangent_basis(vals, dim)
             worst = 0.0
-            for row in wedge:
-                for f in row:
-                    for a, b in itertools.combinations(range(dim), 2):
-                        worst = max(worst, abs(f.evaluate(vals,
-                                                          (tb[a], tb[b]))))
+            for f in wedge.entries.values():
+                for a, b in itertools.combinations(range(dim), 2):
+                    worst = max(worst, abs(f.evaluate(vals, (tb[a], tb[b]))))
             rep.check("curvature flat at %s, sample %d (max %.2e)"
                       % (nvec, k, worst), worst < 1e-9)
 

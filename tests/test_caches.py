@@ -27,7 +27,7 @@ from lihopf.variation import build_V
 
 def _warm():
     return (inv_generator(li((1, 2, 3), (1, 1), inverted=True)),
-            build_V((2, 1), H).rows,
+            build_V((2, 1), H),
             symbol(gen_elem(li((1, 2, 3), (2, 1)), H)),
             w_element(gen_elem(li((1, 2, 3), (1, 1)), H)),
             phi(canonical_symbol((1, 2, 3), (1, 1))),
