@@ -226,9 +226,9 @@ def _flat(M, conn):
     right = M.by_row()
     lhs = {((v, w), sym): e for (v, w), x in M.entries.items()
            for sym, e in derive(x).items()}
-    rhs = collect((((v, w), basis[0]), poly_to_element(p, H) * x)
-                  for (v, r), f in conn.entries.items()
-                  for basis, p in f.terms.items()
+    rhs = collect((((v, w), sym), e * x) for (v, r), f in conn.entries.items()
+                  for (sym,), e in [(b, poly_to_element(p, H))
+                                    for b, p in f.terms.items()]
                   for w, x in right.get(r, ()))
     return lhs == rhs
 
