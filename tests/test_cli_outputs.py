@@ -157,11 +157,16 @@ def test_json_writer_is_its_document_dumped(kind, data):
     ["symbol", "Li[1,1](1,2,3)"],
     ["form", "Li[2,1](1,2,3)", "--format", "text"],
     ["verify", "--suite", "golden"],  # progress lines go to stderr
+    ["--help"],
+    ["symbol", "--help"],
 ])
 def test_in_process_calls_keep_no_output_alive(args):
     out, err = io.StringIO(), io.StringIO()
     with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
-        cli.main(args=args, standalone_mode=False, prog_name="lihopf")
+        try:
+            cli.main(args=args, standalone_mode=False, prog_name="lihopf")
+        except SystemExit as exc:  # help prints, then exits 0
+            assert args[-1] == "--help" and exc.code == 0
     assert out.getvalue()
     refs = [weakref.ref(out), weakref.ref(err)]
     del out, err

@@ -1,13 +1,15 @@
 """Expression grammar round-trips, renderer goldens, JSON schema
 conformance, and the command-line interface (output and exit codes)."""
 
+import contextlib
+import io
 import json
 import random
 from fractions import Fraction
 from pathlib import Path
+from types import SimpleNamespace
 
 import pytest
-from click.testing import CliRunner
 from hypothesis import given, settings, strategies as st
 
 import jsonschema
@@ -219,11 +221,21 @@ def test_element_document_shape():
 
 # ------------------------------------------------------------------- CLI
 
-runner = CliRunner()
+def invoke(args):
+    """Run the CLI in process; its exit code, stdout and stderr."""
+    out, err = io.StringIO(), io.StringIO()
+    code = 0
+    with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
+        try:
+            main(args=args)
+        except SystemExit as exc:
+            code = exc.code
+    return SimpleNamespace(exit_code=code, stdout=out.getvalue(),
+                           stderr=err.getvalue())
 
 
 def test_cli_form_text_golden():
-    res = runner.invoke(main, ["form", "Li[1,1](1,2,3)", "--format", "text"])
+    res = invoke(["form", "Li[1,1](1,2,3)", "--format", "text"])
     assert res.exit_code == 0
     assert res.stdout.strip() == (
         "1/2 v1,2 du1 + (-1/2 v1,2 + 1/2 v2,2) dv1,1 + "
@@ -232,7 +244,7 @@ def test_cli_form_text_golden():
 
 
 def test_cli_varmatrix_latex_golden():
-    res = runner.invoke(main, ["varmatrix", "--weights", "2,1",
+    res = invoke(["varmatrix", "--weights", "2,1",
                                "--what", "V", "--format", "latex"])
     assert res.exit_code == 0
     assert res.stdout.strip() == (
@@ -249,12 +261,12 @@ def test_cli_varmatrix_latex_golden():
 
 
 def test_cli_coproduct_round_trips_by_sort():
-    res = runner.invoke(main, ["coproduct", "ILi[2](1,2)", "--sort", "Hbar",
+    res = invoke(["coproduct", "ILi[2](1,2)", "--sort", "Hbar",
                                "--format", "text"])
     assert res.exit_code == 0
     assert "ILi[2](1,2) (x) 1" in res.stdout
     # the same expression is a usage error in the plain sort
-    res = runner.invoke(main, ["coproduct", "ILi[2](1,2)", "--sort", "H"])
+    res = invoke(["coproduct", "ILi[2](1,2)", "--sort", "H"])
     assert res.exit_code == 2
 
 
@@ -275,15 +287,15 @@ def test_cli_json_outputs_validate():
         (["verify", "--suite", "structural"], "report"),
     ]
     for argv, kind in checks:
-        res = runner.invoke(main, argv)
-        assert res.exit_code == 0, (argv, res.output)
+        res = invoke(argv)
+        assert res.exit_code == 0, (argv, res.stderr)
         doc = json.loads(res.stdout)
         assert doc["type"] == kind, argv
         validate(doc)
 
 
 def test_cli_verify_pass_and_report():
-    res = runner.invoke(main, ["verify", "--suite", "coassoc",
+    res = invoke(["verify", "--suite", "coassoc",
                                "--max-weight", "3", "--max-depth", "2"])
     assert res.exit_code == 0
     doc = json.loads(res.stdout)
@@ -295,7 +307,7 @@ def test_cli_verify_pass_and_report():
 
 
 def test_cli_verify_all_runs_every_suite():
-    res = runner.invoke(main, ["verify", "--suite", "all",
+    res = invoke(["verify", "--suite", "all",
                                "--max-weight", "2", "--max-depth", "1",
                                "--format", "text"])
     assert res.exit_code == 0
@@ -309,7 +321,7 @@ def test_cli_verify_failure_exits_one(monkeypatch):
 
     monkeypatch.setitem(verification._SUITES, "red-demo",
                         (red, "always fails"))
-    res = runner.invoke(main, ["verify", "--suite", "red-demo"])
+    res = invoke(["verify", "--suite", "red-demo"])
     assert res.exit_code == 1
     doc = json.loads(res.stdout)
     assert doc["passed"] is False
@@ -325,8 +337,11 @@ def test_cli_usage_errors_exit_two():
                   "--sort", "Hbar"],
                  ["varmatrix", "--weights", "0,1"],
                  ["varmatrix", "--weights", "two"],
-                 ["form", "Li[2](1,2) +"]]:
-        res = runner.invoke(main, argv)
+                 ["form", "Li[2](1,2) +"],
+                 # no option is matched by a prefix of its name
+                 ["form", "Li[2](1,2)", "--form", "text"],
+                 ["coproduct", "Li[2](1,2)", "--sor", "H"]]:
+        res = invoke(argv)
         assert res.exit_code == 2, argv
 
 
@@ -336,7 +351,7 @@ def test_cli_verify_bounds_below_one_exit_two():
                  ["--suite", "coassoc", "--max-weight", "0"],
                  ["--max-depth", "-3"],
                  ["--suite", "inv-morphism", "--max-depth", "0"]]:
-        res = runner.invoke(main, ["verify"] + argv)
+        res = invoke(["verify"] + argv)
         assert res.exit_code == 2, argv
         assert res.stdout == "", argv
         assert "running" not in res.stderr, argv
@@ -344,8 +359,8 @@ def test_cli_verify_bounds_below_one_exit_two():
 
 def test_cli_deterministic_for_a_seed():
     argv = ["verify", "--suite", "forms", "--seed", "3"]
-    first = runner.invoke(main, argv)
-    second = runner.invoke(main, argv)
+    first = invoke(argv)
+    second = invoke(argv)
     assert first.exit_code == second.exit_code == 0
     strip = lambda s: "\n".join(  # noqa: E731 - wall time varies, drop it
         line for line in s.splitlines() if '"seconds"' not in line)

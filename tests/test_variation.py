@@ -4,9 +4,7 @@ import math
 from fractions import Fraction as F
 
 import pytest
-from click.testing import CliRunner
 
-from lihopf import cli
 from lihopf.algebra import (H, HBAR, Element, expand_log, gen_elem, li, log)
 from lihopf.coproduct import coproduct, reduced_coproduct
 from lihopf.forms import (Form, Poly, point_residual, poly_to_element,
@@ -19,6 +17,7 @@ from lihopf.variation import (Matrix, VariationMatrix, antipode_ok, build_V,
                               enumerate_keys, hat_derivation_ok, omega_hat,
                               omega_form_matrix, omega_matrix, recurrence_ok,
                               v_hat, w_closed_form, w_of_V)
+from test_expr_cli import invoke
 
 variation = importlib.import_module("lihopf.variation")
 
@@ -303,9 +302,8 @@ def test_one_forms_of_V_never_need_the_closed_form(monkeypatch):
     assert recurrence_ok(V)
     assert corollary_form_ok((2, 1))
     for what in ("wV", "omegahat"):
-        res = CliRunner().invoke(cli.main, ["varmatrix", "--weights", "2,1",
-                                            "--what", what])
-        assert res.exit_code == 0, (what, res.output, res.exception)
+        res = invoke(["varmatrix", "--weights", "2,1", "--what", what])
+        assert res.exit_code == 0, (what, res.stderr)
 
 
 def test_hat_connection_laws():
