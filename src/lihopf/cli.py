@@ -209,8 +209,8 @@ PARSER = _parser()
 
 
 def main(args=None, standalone_mode=True, prog_name="lihopf"):
-    """Run one command line (default ``sys.argv[1:]``); any exit status
-    but 0 raises SystemExit.  The keyword arguments change nothing."""
+    """Run one command line (default sys.argv[1:]); --help and any exit
+    status but 0 raise SystemExit.  The keyword arguments change nothing."""
     a = PARSER.parse_args(args)
     a.run(a)
 

@@ -245,7 +245,7 @@ def test_cli_form_text_golden():
 
 def test_cli_varmatrix_latex_golden():
     res = invoke(["varmatrix", "--weights", "2,1",
-                               "--what", "V", "--format", "latex"])
+                  "--what", "V", "--format", "latex"])
     assert res.exit_code == 0
     assert res.stdout.strip() == (
         "\\begin{pmatrix} 1 & 0 & 0 & 0 & 0 & 0 \\\\ "
@@ -262,7 +262,7 @@ def test_cli_varmatrix_latex_golden():
 
 def test_cli_coproduct_round_trips_by_sort():
     res = invoke(["coproduct", "ILi[2](1,2)", "--sort", "Hbar",
-                               "--format", "text"])
+                  "--format", "text"])
     assert res.exit_code == 0
     assert "ILi[2](1,2) (x) 1" in res.stdout
     # the same expression is a usage error in the plain sort
@@ -296,7 +296,7 @@ def test_cli_json_outputs_validate():
 
 def test_cli_verify_pass_and_report():
     res = invoke(["verify", "--suite", "coassoc",
-                               "--max-weight", "3", "--max-depth", "2"])
+                  "--max-weight", "3", "--max-depth", "2"])
     assert res.exit_code == 0
     doc = json.loads(res.stdout)
     assert doc["passed"] is True
@@ -308,8 +308,8 @@ def test_cli_verify_pass_and_report():
 
 def test_cli_verify_all_runs_every_suite():
     res = invoke(["verify", "--suite", "all",
-                               "--max-weight", "2", "--max-depth", "1",
-                               "--format", "text"])
+                  "--max-weight", "2", "--max-depth", "1",
+                  "--format", "text"])
     assert res.exit_code == 0
     names = [line.split()[0] for line in res.stdout.splitlines() if line]
     assert names == verification.suite_names()
